@@ -162,7 +162,7 @@ def _cmd_rdim(args) -> RunReport:
     )
     k, n = len(args.kappa), len(args.nu)
     if not 1 <= k < n:
-        raise SystemExit(f"need 1 <= len(kappa) < len(nu), got {k} and {n}")
+        raise ValueError(f"need 1 <= len(kappa) < len(nu), got {k} and {n}")
     ratio = rel_dim_ratio(DetContext(k, args.nu), args.kappa)
     count = dim_product(args.nu) * ratio
     report.results.append(_entry("trapezoids", count))

@@ -9,6 +9,7 @@ polynomial is the empty tuple).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -21,6 +22,8 @@ __all__ = [
     "RatMatrix",
     "Nodes",
     "det",
+    "clear_denominators",
+    "prefix_cofactors",
     "pochhammer",
     "q_pochhammer",
     "elementary_sym",
@@ -57,18 +60,23 @@ def rat(value: RatLike, den: int | None = None) -> Rat:
 def det(rows: Sequence[Sequence[RatLike]]) -> Rat:
     """Determinant of a square matrix by fraction-free (Bareiss) elimination.
 
-    Intermediate entries are minors of the input, which keeps numerator and
-    denominator growth polynomial instead of exponential; every division is
-    exact.
+    Each row is first cleared of denominators, so the elimination runs on
+    integers; its intermediate entries are minors of that integer matrix,
+    which keeps their growth polynomial, and every division is exact.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = []
+    den = 1
+    for row in rows:
+        ints, lcd = clear_denominators([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row])
+        m.append(ints)
+        den *= lcd
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -80,10 +88,43 @@ def det(rows: Sequence[Sequence[RatLike]]) -> Rat:
                 return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], den)
+
+
+def clear_denominators(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """Scale rationals to integers over their least common denominator:
+    returns (integers, lcd) with values[i] = integers[i] / lcd."""
+    lcd = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (lcd // x.denominator) for x in values], lcd
+
+
+def prefix_cofactors(columns: Sequence[Sequence[Rat]]) -> tuple[tuple[int, ...], int]:
+    """Cofactors along the last column of a K x K matrix whose first K-1
+    columns are given (each of length K), as integers over one common
+    denominator: returns (cofactors, den) with
+
+        det[columns | c] = sum_i cofactors[i] * c[i] / den
+
+    for every last column c. Each column is cleared of denominators first,
+    so the (K-1)-minors are determinants of integer matrices.
+    """
+    k = len(columns) + 1
+    scaled = []
+    den = 1
+    for col in columns:
+        if len(col) != k:
+            raise ValueError("prefix columns must have length K")
+        ints, lcd = clear_denominators(col)
+        scaled.append(ints)
+        den *= lcd
+    cofactors = []
+    for i in range(k):
+        minor = det([[c[r] for c in scaled] for r in range(k) if r != i]).numerator
+        cofactors.append(minor if (i + k - 1) % 2 == 0 else -minor)
+    return tuple(cofactors), den
 
 
 class RatMatrix:

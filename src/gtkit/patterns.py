@@ -69,7 +69,10 @@ class _Budget:
 def _resolve_budget(budget: int | None) -> _Budget:
     if budget is None:
         env = os.environ.get("GTKIT_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"GTKIT_BUDGET must be an integer number of work units, got {env!r}") from None
     return _Budget(budget)
 
 
@@ -305,9 +308,10 @@ def dim_product(nu: Sequence[int]) -> int:
         for j in range(i + 1, n):
             num *= nu[i] - nu[j] + j - i
             den *= j - i
-    out = Fraction(num, den)
-    assert out.denominator == 1
-    return int(out)
+    out, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"dimension product of {nu} is not an integer")
+    return out
 
 
 # ---------------------------------------------------------------------------

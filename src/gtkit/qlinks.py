@@ -10,14 +10,15 @@ sums psi^T, and reduces to the first when T = {0, ..., N-K-1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .linalg import Rat, RatLike, RatMatrix, q_pochhammer, vandermonde_inverse
 from .patterns import Signature, check_q, check_signature, q_dim, support_box
-from .reldim import A_coeff, DetContext, LinkRow
+from .reldim import A_coeff, DetContext, LinkRow, coefficient_det
 from .schur import h_at_q_powers, schur_bialternant
 
 __all__ = [
@@ -54,6 +55,12 @@ class QDetContext:
 
     def nodes(self) -> tuple[int, ...]:
         return tuple(v - j for j, v in enumerate(self.nu, start=1))
+
+    @cached_property
+    def barycentric(self) -> tuple[Rat, ...]:
+        """Node products prod_{r != j} (q^{a_j} - q^{a_r}), computed once per context."""
+        b = [self.q**a for a in self.nodes()]
+        return tuple(math.prod(bj - br for r, br in enumerate(b) if r != j) for j, bj in enumerate(b))
 
 
 @dataclass(frozen=True)
@@ -101,20 +108,14 @@ def qA_coeff(ctx: QDetContext, i: int, x: int) -> Rat:
     if not 1 <= i <= ctx.K:
         raise ValueError("coefficient index out of range")
     n, k, q = ctx.N, ctx.K, ctx.q
-    nodes = ctx.nodes()
     total = Fraction(0)
-    for j, aj in enumerate(nodes):
+    for aj, weight in zip(ctx.nodes(), ctx.barycentric):
         if aj < x:
             break
-        denom = Fraction(1)
-        qa = q**aj
-        for r, ar in enumerate(nodes):
-            if r != j:
-                denom *= qa - q**ar
         total += (
             q_pochhammer(q ** (aj + 1 - x), q, n - k - 1)
             * _q_poly_part(ctx, i, aj)
-            / denom
+            / weight
         )
     return (1 - q ** (n - k)) * total
 
@@ -122,25 +123,19 @@ def qA_coeff(ctx: QDetContext, i: int, x: int) -> Rat:
 def q_prefactor(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
     """(-1)^{K(N-K)} q^{(N-K)|kappa|} q^{-K(N-K)(N+2)/2}."""
     n, k, q = ctx.N, ctx.K, ctx.q
-    exp2 = k * (n - k) * (n + 2)
-    assert exp2 % 2 == 0
+    half, odd = divmod(k * (n - k) * (n + 2), 2)
+    if odd:
+        raise ArithmeticError(f"K(N-K)(N+2) is odd for K={k}, N={n}")
     return (
         Fraction(-1) ** (k * (n - k))
         * q ** ((n - k) * sum(kappa))
-        * q ** (-exp2 // 2)
+        * q ** (-half)
     )
 
 
 def q_rel_dim_ratio(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
     """(q-weighted trapezoid count) / (q-weighted triangular count)."""
-    kappa = check_signature(kappa)
-    if len(kappa) != ctx.K:
-        raise ValueError("bottom row must have length K")
-    k = ctx.K
-    matrix = RatMatrix(
-        [[qA_coeff(ctx, i, kappa[j - 1] - j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    )
-    return q_prefactor(ctx, kappa) * matrix.det()
+    return q_prefactor(ctx, kappa) * coefficient_det(qA_coeff, ctx, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ def B_entry(x: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
     num, den = _reduced_ratio(x, n, q)
     num = poly_mul(num, _finite_qpoch_poly(0, i - 1, q))
     exp2 = (x - i + 1) * (x + i - 2)
-    assert exp2 % 2 == 0
+    if exp2 % 2:
+        raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
     return q ** (exp2 // 2) * _residue_sum(num, den, x - 1, q)
 
 
@@ -172,7 +173,8 @@ def B_entry_via_qA(x: int, i: int, n: BoundarySeq, q: RatLike, K: int) -> Rat:
         raise ValueError("need 1 <= i <= K")
     q = check_q(q)
     exp2 = (x - i) * (x + i - 3)
-    assert exp2 % 2 == 0
+    if exp2 % 2:
+        raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
     return qA_infinity(x - K - 1, K, K + 1 - i, n, q) * q ** (exp2 // 2)
 
 
@@ -256,7 +258,8 @@ def qtoeplitz_solve(coeffs: Sequence[RatLike], q: RatLike, x: int, i: int) -> Ra
         raise ValueError("grid starts at x = i = 1")
     phi = basis_from_coeffs(coeffs, q)
     exp2 = (x - i + 1) * (x + i - 2)
-    assert exp2 % 2 == 0
+    if exp2 % 2:
+        raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
     if x < i:
         return Fraction(0)
     return q ** (exp2 // 2) * _residue_sum(phi, list(range(i - 1, x)), x - 1, q)

@@ -14,15 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 from .linalg import (
     Rat,
     RatLike,
     RatMatrix,
+    clear_denominators,
     det,
     pochhammer,
+    prefix_cofactors,
     poly_div_exact,
     poly_eval,
     poly_mul,
@@ -37,6 +39,7 @@ __all__ = [
     "H_star",
     "A_coeff",
     "A_matrix",
+    "coefficient_det",
     "rel_dim_ratio",
     "psi_coeff",
     "rel_dim_ratio_first",
@@ -71,6 +74,12 @@ class DetContext:
         """Particle positions nu_j - j, strictly decreasing."""
         return tuple(v - j for j, v in enumerate(self.nu, start=1))
 
+    @cached_property
+    def barycentric(self) -> tuple[int, ...]:
+        """Node products prod_{r != j} (a_j - a_r), computed once per context."""
+        a = self.nodes()
+        return tuple(math.prod(aj - ar for r, ar in enumerate(a) if r != j) for j, aj in enumerate(a))
+
 
 def H_star(z: RatLike, nu: Sequence[int]) -> Rat:
     """prod_r (z + r) / (z + r - nu_r), the generating function of nu."""
@@ -85,17 +94,12 @@ def H_star(z: RatLike, nu: Sequence[int]) -> Rat:
     return out
 
 
-def _poly_part(ctx: DetContext, i: int, y: Rat) -> Rat:
+def _poly_part(ctx: DetContext, i: int, y: int) -> int:
     """(y+1)_N / (y+i)_{N-K+1} with the common index ranges cancelled
     symbolically: prod_{r<i} (y+r) * prod_{r>N-K+i} (y+r). Never divides,
     so y colliding with -i..-(N-K+i) is harmless."""
     n, k = ctx.N, ctx.K
-    out = Fraction(1)
-    for r in range(1, i):
-        out *= y + r
-    for r in range(n - k + i + 1, n + 1):
-        out *= y + r
-    return out
+    return math.prod(range(y + 1, y + i)) * math.prod(range(y + n - k + i + 1, y + n + 1))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -111,20 +115,18 @@ def A_coeff(ctx: DetContext, i: int, x: int) -> Rat:
     if not 1 <= i <= ctx.K:
         raise ValueError("coefficient index out of range")
     n, k = ctx.N, ctx.K
-    nodes = ctx.nodes()
     total = Fraction(0)
-    for j, aj in enumerate(nodes):
+    for aj, weight in zip(ctx.nodes(), ctx.barycentric):
         if aj < x:
             break  # nodes are decreasing
-        denom = 1
-        for r, ar in enumerate(nodes):
-            if r != j:
-                denom *= aj - ar
-        total += pochhammer(aj - x + 1, n - k - 1) * _poly_part(ctx, i, Fraction(aj)) / denom
+        rising = math.prod(range(aj - x + 1, aj - x + n - k))  # (aj - x + 1)_{N-K-1}
+        total += Fraction(rising * _poly_part(ctx, i, aj), weight)
     return (n - k) * total
 
 
 def A_matrix(ctx: DetContext, kappa: Sequence[int]) -> RatMatrix:
+    """The K x K matrix [A_i(kappa_j - j)]; its det() is the per-kappa oracle
+    for rel_dim_ratio."""
     kappa = check_signature(kappa)
     if len(kappa) != ctx.K:
         raise ValueError("bottom row must have length K")
@@ -133,9 +135,33 @@ def A_matrix(ctx: DetContext, kappa: Sequence[int]) -> RatMatrix:
     )
 
 
+@lru_cache(maxsize=64)
+def _prefix_cofactors(coeff: Callable, ctx, xs: tuple) -> tuple[tuple[int, ...], int]:
+    """Last-column cofactors of [coeff(ctx, i, x)] over the prefix columns xs.
+
+    Small on purpose: support_box yields kappa in lexicographic order, so
+    consecutive bottom rows share their prefix and only the latest few
+    prefixes are ever looked up again."""
+    k = ctx.K
+    return prefix_cofactors([[coeff(ctx, i, x) for i in range(1, k + 1)] for x in xs])
+
+
+def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
+    """det[coeff(ctx, i, kappa_j - j)]_{i,j=1..K}, expanded along the last
+    column: the (K-1)-minors depend only on kappa_1..kappa_{K-1} and are
+    shared between bottom rows, so each kappa costs K integer products."""
+    kappa = check_signature(kappa)
+    k = ctx.K
+    if len(kappa) != k:
+        raise ValueError("bottom row must have length K")
+    cofactors, den = _prefix_cofactors(coeff, ctx, tuple(kappa[j] - j - 1 for j in range(k - 1)))
+    last, lcd = clear_denominators([coeff(ctx, i, kappa[-1] - k) for i in range(1, k + 1)])
+    return Fraction(sum(c * v for c, v in zip(cofactors, last)), den * lcd)
+
+
 def rel_dim_ratio(ctx: DetContext, kappa: Sequence[int]) -> Rat:
     """(trapezoid count) / (triangular count) as det[A_i(kappa_j - j)]."""
-    return A_matrix(ctx, kappa).det()
+    return coefficient_det(A_coeff, ctx, kappa)
 
 
 # ---------------------------------------------------------------------------

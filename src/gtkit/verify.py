@@ -29,6 +29,7 @@ from .boundary import (
 )
 from .linalg import Rat
 from .patterns import (
+    BudgetExceededError,
     all_signatures,
     check_signature,
     dim_product,
@@ -717,7 +718,7 @@ def bench_table(ns: Sequence[int], k: int = 2, budget: int | None = None) -> lis
         t0 = time.perf_counter()
         try:
             table = rel_dim_table(nu, k, budget=budget)
-        except Exception as err:  # budget errors carry the work count
+        except BudgetExceededError as err:
             entry["enumeration"] = "budget-exceeded"
             entry["enumeration_error"] = str(err)
         else:

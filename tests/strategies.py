@@ -1,0 +1,23 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from hypothesis import strategies as st
+
+
+@st.composite
+def wide_rows(draw, max_n=12, bound=15, max_k=4):
+    """A top row, a level K and bottom rows in shuffled order, drawn in
+    groups that share their first K-1 parts so the cofactor cache is hit."""
+    n = draw(st.integers(2, max_n))
+    parts = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    nu = tuple(sorted(parts, reverse=True))
+    k = draw(st.integers(1, min(max_k, n - 1)))
+    kappas = set()
+    for _ in range(draw(st.integers(1, 4))):
+        prefix = sorted(
+            draw(st.lists(st.integers(nu[-1], nu[0]), min_size=k - 1, max_size=k - 1)),
+            reverse=True,
+        )
+        cap = prefix[-1] if prefix else nu[0]
+        for last in draw(st.lists(st.integers(nu[-1], cap), min_size=1, max_size=4)):
+            kappas.add(tuple(prefix) + (last,))
+    return nu, k, draw(st.permutations(sorted(kappas)))

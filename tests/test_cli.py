@@ -30,8 +30,20 @@ def test_rdim(capsys):
 
 
 def test_rdim_rejects_bad_lengths(capsys):
-    with pytest.raises(SystemExit):
-        main(["rdim", "1,0", "1,0"])
+    code, lines, err = run(capsys, "rdim", "1,0", "1,0")
+    assert code == 2
+    assert not lines
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_malformed_budget_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GTKIT_BUDGET", "abc")
+    code, lines, err = run(capsys, "bench", "--n", "5", "--level", "2")
+    assert code == 2
+    assert not lines
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "GTKIT_BUDGET" in error["detail"]
 
 
 def test_link_row(capsys):

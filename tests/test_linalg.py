@@ -25,6 +25,7 @@ from gtkit.linalg import (
     poly_mul,
     poly_rising,
     poly_scale,
+    prefix_cofactors,
     q_pochhammer,
     rat,
     vandermonde_det,
@@ -63,6 +64,16 @@ def test_rat_parsing():
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_matches_leibniz(rows):
     assert det(rows) == det_by_expansion(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_prefix_cofactors_expand_the_last_column(columns):
+    *prefix, last = columns
+    cofactors, den = prefix_cofactors(prefix)
+    assert all(type(c) is int for c in cofactors)
+    rows = [list(r) for r in zip(*columns)]
+    assert F(sum(c * x for c, x in zip(cofactors, last))) / den == det_by_expansion(rows)
 
 
 def test_det_empty_and_singular():

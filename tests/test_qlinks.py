@@ -3,7 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import wide_rows
 
+from gtkit.linalg import det
 from gtkit.patterns import q_dim, q_rel_dim_oracle, support_box
 from gtkit.qlinks import (
     QDetContext,
@@ -122,3 +126,13 @@ def test_q_to_1_pairs():
         gaps.append(abs(got - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < F(1, 100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_rows(), st.sampled_from([F(1, 2), F(3, 4)]))
+def test_q_ratio_equals_prefactor_times_det_wide_rows(case, q):
+    nu, k, kappas = case
+    ctx = QDetContext(k, nu, q)
+    for kappa in kappas:
+        matrix = [[qA_coeff(ctx, i, kappa[j] - j - 1) for j in range(k)] for i in range(1, k + 1)]
+        assert q_rel_dim_ratio(ctx, kappa) == q_prefactor(ctx, kappa) * det(matrix), kappa

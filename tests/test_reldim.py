@@ -3,6 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import wide_rows
 
 from gtkit.patterns import all_signatures, dim_product, rel_dim_oracle, support_box
 from gtkit.reldim import (
@@ -126,3 +129,38 @@ def test_linkrow_validation():
     # zero weights are dropped, not stored
     row = LinkRow((1, 0), 1, {(0,): F(1), (1,): F(0)})
     assert dict(row.items()) == {(0,): F(1)}
+
+
+# ---------------------------------------------------------------------------
+# the prefix-cofactor kernel against the per-kappa determinant
+
+
+def test_ratio_equals_matrix_det_small_sweep():
+    for n in range(2, 7):
+        for nu in all_signatures(n, -2, 2):
+            for k in range(1, n):
+                ctx = DetContext(k, nu)
+                for kappa in support_box(nu, k):
+                    assert rel_dim_ratio(ctx, kappa) == A_matrix(ctx, kappa).det(), (nu, kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_rows())
+def test_ratio_equals_matrix_det_wide_rows(case):
+    nu, k, kappas = case
+    ctx = DetContext(k, nu)
+    for kappa in kappas:
+        assert rel_dim_ratio(ctx, kappa) == A_matrix(ctx, kappa).det(), kappa
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=2, max_size=7).map(lambda p: tuple(sorted(p, reverse=True))),
+    st.data(),
+)
+def test_link_row_shift_invariance(nu, data):
+    k = data.draw(st.integers(1, len(nu) - 1))
+    c = data.draw(st.integers(-6, 6))
+    shifted = link_row(tuple(v + c for v in nu), k)
+    want = {tuple(v + c for v in kappa): w for kappa, w in link_row(nu, k).items()}
+    assert dict(shifted.items()) == want
