@@ -25,7 +25,7 @@ from fractions import Fraction
 from .patterns import BudgetExceededError, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, link_row, rel_dim_ratio
-from .verify import SUITES, bench_table, run_suite, uat_table
+from .verify import SUITES, bench_table, ignored_bounds, run_suite, uat_table
 
 __all__ = ["RunReport", "main"]
 
@@ -37,6 +37,7 @@ class RunReport:
     results: list = field(default_factory=list)
     status: str | None = None
     timing: dict = field(default_factory=dict)
+    ignored_bounds: list = field(default_factory=list)  # given to `verify`, not taken by its suite
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(asdict(self), indent=indent)
@@ -50,6 +51,7 @@ class RunReport:
             results=data["results"],
             status=data["status"],
             timing=data["timing"],
+            ignored_bounds=data.get("ignored_bounds", []),
         )
 
 
@@ -176,7 +178,7 @@ def _cmd_link(args) -> RunReport:
     row = link_row(args.nu, args.level)
     for kappa, weight in row.items():
         report.results.append(_entry(format_signature(kappa), weight))
-    report.results.append(_entry("row_sum", sum(row.weights.values())))
+    report.results.append(_entry("row_sum", row.total))
     report.status = "pass"
     return report
 
@@ -189,7 +191,7 @@ def _cmd_qlink(args) -> RunReport:
     row = q_link_row(args.nu, args.level, args.q)
     for kappa, weight in row.items():
         report.results.append(_entry(format_signature(kappa), weight))
-    report.results.append(_entry("row_sum", sum(row.weights.values())))
+    report.results.append(_entry("row_sum", row.total))
     report.status = "pass"
     return report
 
@@ -207,8 +209,8 @@ def _cmd_verify(args) -> RunReport:
     for key, value in bounds.items():
         if value is not None:
             inputs[key] = [str(v) for v in value] if isinstance(value, list) else _enc(value)
-    report = RunReport("verify", inputs)
-    if args.max_n is not None and args.max_n < 2:
+    report = RunReport("verify", inputs, ignored_bounds=ignored_bounds(args.suite, **bounds))
+    if args.max_n is not None and args.max_n < 2 and "max_n" not in report.ignored_bounds:
         report.results.append(
             _entry("no cases below N=2", "vacuous-pass", ok=True, checks=0)
         )
@@ -309,17 +311,15 @@ def _emit(report: RunReport, use_csv: bool, out_path: str | None, stream) -> Non
         return
     for entry in report.results:
         print(json.dumps(entry), file=stream)
-    print(
-        json.dumps(
-            {
-                "command": report.command,
-                "inputs": report.inputs,
-                "status": report.status,
-                "timing": report.timing,
-            }
-        ),
-        file=stream,
-    )
+    summary = {
+        "command": report.command,
+        "inputs": report.inputs,
+        "status": report.status,
+        "timing": report.timing,
+    }
+    if report.ignored_bounds:
+        summary["ignored_bounds"] = report.ignored_bounds
+    print(json.dumps(summary), file=stream)
 
 
 def main(argv=None) -> int:

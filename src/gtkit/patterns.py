@@ -11,6 +11,7 @@ instead of running unbounded.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -81,10 +82,9 @@ def _resolve_budget(budget: int | None) -> _Budget:
 
 
 def check_signature(sig: Sequence[int]) -> Signature:
-    out = tuple(int(x) for x in sig)
-    for a, b in zip(out, out[1:]):
-        if a < b:
-            raise ValueError(f"signature parts must be nonincreasing, got {out}")
+    out = tuple(map(int, sig))
+    if any(map(operator.lt, out, out[1:])):
+        raise ValueError(f"signature parts must be nonincreasing, got {out}")
     return out
 
 

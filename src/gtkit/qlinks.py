@@ -48,6 +48,11 @@ class QDetContext:
         object.__setattr__(self, "q", check_q(self.q))
         if not 1 <= self.K < len(self.nu):
             raise ValueError("need 1 <= K < N")
+        # every coefficient-cache lookup hashes the context; hash the top row once
+        object.__setattr__(self, "_hash", hash((self.K, self.nu, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def N(self) -> int:
@@ -141,15 +146,9 @@ def q_rel_dim_ratio(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
 # ---------------------------------------------------------------------------
 # general point subsets via inverse Vandermonde
 
-_q_inverse_cache: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _q_nodes_inverse(nu: Signature, q: Rat) -> RatMatrix:
-    key = (nu, q)
-    if key not in _q_inverse_cache:
-        nodes = [q ** (v - j) for j, v in enumerate(nu, start=1)]
-        _q_inverse_cache[key] = vandermonde_inverse(nodes)
-    return _q_inverse_cache[key]
+    return vandermonde_inverse([q ** (v - j) for j, v in enumerate(nu, start=1)])
 
 
 @lru_cache(maxsize=1 << 18)

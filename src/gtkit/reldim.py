@@ -12,6 +12,7 @@ and a biorthogonal-expansion route realized via exact polynomial division.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -65,6 +66,11 @@ class DetContext:
         object.__setattr__(self, "nu", check_signature(self.nu))
         if not 1 <= self.K < len(self.nu):
             raise ValueError("need 1 <= K < N")
+        # every coefficient-cache lookup hashes the context; hash the top row once
+        object.__setattr__(self, "_hash", hash((self.K, self.nu)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def N(self) -> int:
@@ -146,6 +152,19 @@ def _prefix_cofactors(coeff: Callable, ctx, xs: tuple) -> tuple[tuple[int, ...],
     return prefix_cofactors([[coeff(ctx, i, x) for i in range(1, k + 1)] for x in xs])
 
 
+# For each prefix, support_box walks the last part through every position of
+# the row, so the last columns are looked up in a cycle as long as the row
+# width nu_1 - nu_N + 1; an LRU cache smaller than that cycle would never
+# hit. 256 entries cover rows up to 256 positions wide; wider rows stay exact
+# and re-clear their last columns.
+@lru_cache(maxsize=256)
+def _cleared_column(coeff: Callable, ctx, x: int) -> tuple[tuple[int, ...], int]:
+    """The column [coeff(ctx, i, x)]_{i=1..K} as integers over its least
+    common denominator."""
+    ints, lcd = clear_denominators([coeff(ctx, i, x) for i in range(1, ctx.K + 1)])
+    return tuple(ints), lcd
+
+
 def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
     """det[coeff(ctx, i, kappa_j - j)]_{i,j=1..K}, expanded along the last
     column: the (K-1)-minors depend only on kappa_1..kappa_{K-1} and are
@@ -154,9 +173,9 @@ def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
     k = ctx.K
     if len(kappa) != k:
         raise ValueError("bottom row must have length K")
-    cofactors, den = _prefix_cofactors(coeff, ctx, tuple(kappa[j] - j - 1 for j in range(k - 1)))
-    last, lcd = clear_denominators([coeff(ctx, i, kappa[-1] - k) for i in range(1, k + 1)])
-    return Fraction(sum(c * v for c, v in zip(cofactors, last)), den * lcd)
+    cofactors, den = _prefix_cofactors(coeff, ctx, tuple(map(operator.sub, kappa[:-1], range(1, k))))
+    last, lcd = _cleared_column(coeff, ctx, kappa[-1] - k)
+    return Fraction(sum(map(operator.mul, cofactors, last)), den * lcd)
 
 
 def rel_dim_ratio(ctx: DetContext, kappa: Sequence[int]) -> Rat:
@@ -167,14 +186,9 @@ def rel_dim_ratio(ctx: DetContext, kappa: Sequence[int]) -> Rat:
 # ---------------------------------------------------------------------------
 # first determinantal route: inverse Vandermonde at the particle positions
 
-_inverse_cache: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _nodes_inverse(nu: Signature) -> RatMatrix:
-    if nu not in _inverse_cache:
-        nodes = tuple(v - j for j, v in enumerate(nu, start=1))
-        _inverse_cache[nu] = vandermonde_inverse(nodes)
-    return _inverse_cache[nu]
+    return vandermonde_inverse(tuple(v - j for j, v in enumerate(nu, start=1)))
 
 
 def psi_coeff(ctx: DetContext, i: int, x: int) -> Rat:
@@ -261,25 +275,35 @@ def bo_transform(N: int, K: int, i: int, p: int) -> Rat:
 
 
 class LinkRow:
-    """One row of a link: nonnegative weights over bottom rows, summing to 1."""
+    """One row of a link: nonnegative weights over bottom rows, summing to 1.
+
+    `total` is the exact sum of the weights, taken once as an integer over
+    the least common multiple of their denominators."""
 
     def __init__(self, top: Signature, K: int, weights: dict):
         self.top = check_signature(top)
         self.K = K
         clean = {}
-        total = Fraction(0)
+        mass, lcm = 0, 1  # running sum of the weights is mass / lcm
         for kappa, w in weights.items():
             kappa = check_signature(kappa)
             if len(kappa) != K:
                 raise ValueError("support entries must have length K")
-            w = Fraction(w)
-            if w < 0:
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            num, den = w.numerator, w.denominator
+            if num < 0:
                 raise ValueError(f"negative link weight at {kappa}: {w}")
-            total += w
-            if w != 0:
+            if num:
                 clean[kappa] = w
-        if total != 1:
-            raise ValueError(f"link weights must sum to 1 exactly, got {total}")
+                if lcm % den:
+                    grown = math.lcm(lcm, den)
+                    mass *= grown // lcm
+                    lcm = grown
+                mass += num * (lcm // den)
+        self.total = Fraction(mass, lcm)
+        if self.total != 1:
+            raise ValueError(f"link weights must sum to 1 exactly, got {self.total}")
         self.weights: dict = dict(sorted(clean.items()))
 
     def __getitem__(self, kappa) -> Rat:

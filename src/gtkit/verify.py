@@ -60,6 +60,7 @@ __all__ = [
     "CaseResult",
     "SUITES",
     "run_suite",
+    "ignored_bounds",
     "suite_q1_oracle",
     "suite_bo_equivalence",
     "suite_general_t",
@@ -628,14 +629,19 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def run_suite(name: str, **bounds) -> list[CaseResult]:
-    """Run one named suite, passing through only the bounds it understands."""
+def ignored_bounds(name: str, **bounds) -> list[str]:
+    """The bounds given (not None) that the named suite does not take, in
+    the order given; run_suite drops them."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    accepted = set(inspect.signature(fn).parameters)
-    kwargs = {k: v for k, v in bounds.items() if k in accepted and v is not None}
-    return fn(**kwargs)
+    accepted = inspect.signature(SUITES[name]).parameters
+    return [k for k, v in bounds.items() if v is not None and k not in accepted]
+
+
+def run_suite(name: str, **bounds) -> list[CaseResult]:
+    """Run one named suite, passing through only the bounds it understands."""
+    dropped = ignored_bounds(name, **bounds)
+    return SUITES[name](**{k: v for k, v in bounds.items() if v is not None and k not in dropped})
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +718,7 @@ def bench_table(ns: Sequence[int], k: int = 2, budget: int | None = None) -> lis
             "nu": format_signature(nu),
             "level": k,
             "det_seconds": round(det_seconds, 4),
-            "row_sum_1": sum(row.weights.values()) == 1,
+            "row_sum_1": row.total == 1,
             "support": len(row),
         }
         t0 = time.perf_counter()

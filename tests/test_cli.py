@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(); output is line-delimited JSON."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,18 @@ def test_link_row(capsys):
     assert weights == {"0": "1/2", "1": "1/2", "row_sum": "1"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("link", "3,1,0,-1", "--level", "2"), ("qlink", "3,1,0,-1", "--level", "2", "--q", "2/3")],
+)
+def test_row_sum_is_the_exact_sum_of_the_emitted_entries(capsys, argv):
+    code, lines, _ = run(capsys, *argv)
+    assert code == 0
+    *entries, row_sum = lines[:-1]
+    assert row_sum["label"] == "row_sum"
+    assert Fraction(row_sum["value"]) == sum(Fraction(e["value"]) for e in entries) == 1
+
+
 def test_qlink_row(capsys):
     code, lines, _ = run(capsys, "qlink", "1,0", "--level", "1", "--q", "1/2")
     assert code == 0
@@ -80,6 +93,14 @@ def test_verify_small_suite(capsys):
     assert lines[-1]["status"] == "pass"
     assert all(e["ok"] for e in lines[:-1])
     assert sum(e["checks"] for e in lines[:-1]) > 0
+    assert "ignored_bounds" not in lines[-1]  # q1-oracle takes both bounds
+
+
+def test_verify_reports_ignored_bounds(capsys):
+    code, lines, _ = run(capsys, "verify", "qtoeplitz", "--max-n", "3", "--part-bound", "9")
+    assert code == 0
+    assert lines[-1]["status"] == "pass"
+    assert lines[-1]["ignored_bounds"] == ["max_n", "part_bound"]
 
 
 def test_verify_vacuous_pass(capsys):

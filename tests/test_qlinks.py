@@ -21,6 +21,7 @@ from gtkit.qlinks import (
     q_to_1_check,
     qA_coeff,
 )
+from gtkit.reldim import _cleared_column
 
 Q = F(1, 2)
 
@@ -126,6 +127,28 @@ def test_q_to_1_pairs():
         gaps.append(abs(got - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < F(1, 100)
+
+
+def _assert_q_row_entries_equal_oracle(nu, k, q):
+    ctx = QDetContext(k, nu, q)
+    row = q_link_row(nu, k, q)
+    for kappa in support_box(nu, k):
+        matrix = [[qA_coeff(ctx, i, kappa[j] - j - 1) for j in range(k)] for i in range(1, k + 1)]
+        assert row[kappa] == q_dim(kappa, q) * q_prefactor(ctx, kappa) * det(matrix), kappa
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_rows(max_n=6, bound=4, max_k=3), st.sampled_from([F(1, 2), F(3, 4)]))
+def test_q_link_row_entries_equal_prefactor_times_det(case, q):
+    nu, k, _ = case
+    _assert_q_row_entries_equal_oracle(nu, k, q)
+
+
+def test_q_link_row_entries_equal_prefactor_times_det_wider_than_column_cache():
+    # K = 1: every last column is a new position, more of them than the
+    # cleared-column cache holds
+    width = _cleared_column.cache_info().maxsize + 2
+    _assert_q_row_entries_equal_oracle((width - 1, 0), 1, Q)
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ from gtkit.reldim import (
     H_star,
     LinkRow,
     PoleError,
+    _cleared_column,
     bo_coefficient,
     bo_transform,
     link_row,
@@ -131,6 +132,34 @@ def test_linkrow_validation():
     assert dict(row.items()) == {(0,): F(1)}
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {(0,): F(1, 4), (1,): F(1, 3), (2,): F(4, 9)},  # 1 + 1/36
+        {(0,): F(1, 4), (1,): F(1, 6), (2,): F(5, 9)},  # 1 - 1/36
+    ],
+)
+def test_linkrow_rejects_mass_one_lcm_step_off(weights):
+    with pytest.raises(ValueError, match="sum to 1"):
+        LinkRow((2, 0), 1, weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {(0,): F(1, 4), (1,): F(1, 6), (2,): F(7, 12)},
+        {(0,): 1, (1,): 0},
+        {(0,): "1/3", (1,): "2/3"},
+        {(0,): "1/6", (1,): 0, (2,): F(5, 6)},
+    ],
+)
+def test_linkrow_total_is_the_plain_fraction_sum(weights):
+    row = LinkRow((2, 0), 1, weights)
+    assert row.total == sum(F(w) for w in weights.values()) == 1
+    assert dict(row.items()) == {kappa: F(w) for kappa, w in weights.items() if F(w)}
+    assert all(type(w) is F for _, w in row.items())
+
+
 # ---------------------------------------------------------------------------
 # the prefix-cofactor kernel against the per-kappa determinant
 
@@ -142,6 +171,29 @@ def test_ratio_equals_matrix_det_small_sweep():
                 ctx = DetContext(k, nu)
                 for kappa in support_box(nu, k):
                     assert rel_dim_ratio(ctx, kappa) == A_matrix(ctx, kappa).det(), (nu, kappa)
+
+
+def _assert_row_entries_equal_oracle(nu, k):
+    ctx = DetContext(k, nu)
+    row = link_row(nu, k)
+    for kappa in support_box(nu, k):
+        assert row[kappa] == dim_product(kappa) * A_matrix(ctx, kappa).det(), kappa
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_rows(max_n=7, bound=5, max_k=3))
+def test_link_row_entries_equal_matrix_det(case):
+    nu, k, _ = case
+    _assert_row_entries_equal_oracle(nu, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_link_row_entries_equal_matrix_det_wider_than_column_cache(k):
+    # the last columns of a prefix cycle through the whole row width, so a
+    # row wider than the cleared-column cache evicts and re-clears them
+    width = _cleared_column.cache_info().maxsize + 2
+    nu = (width - 1, 0) if k == 1 else (width - 1, width // 2, 0)
+    _assert_row_entries_equal_oracle(nu, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ from gtkit.verify import (
     SUITES,
     bench_signature,
     bench_table,
+    ignored_bounds,
     run_suite,
     uat_family,
     uat_table,
@@ -35,6 +36,7 @@ def test_run_suite_filters_bounds():
     assert results and all(r.ok for r in results)
     assert all(r.suite == "q1-oracle" for r in results)
     assert all(r.counterexample is None for r in results)
+    assert ignored_bounds("q1-oracle", max_n=3, part_bound=1, qs=None, tolerance=None, seed=7) == ["seed"]
 
 
 def test_case_results_carry_counts():
