@@ -21,6 +21,7 @@ from .boundary import (
 from .linalg import Nodes, Rat, RatMatrix, det, rat
 from .patterns import (
     DEFAULT_BUDGET,
+    Budget,
     BudgetExceededError,
     GTPattern,
     all_signatures,
@@ -37,6 +38,7 @@ from .patterns import (
     q_rel_dim_oracle,
     rel_dim_oracle,
     rel_dim_table,
+    rel_dim_table_bound,
     support_box,
     volume,
 )

@@ -6,7 +6,9 @@ kappa = row_K < row_{K+1} < ... < row_N = nu in which consecutive rows
 interlace. These enumerators are the brute-force oracles the determinantal
 routes are checked against, so they stay deliberately naive: every pattern is
 walked explicitly, with a work budget so a too-large instance fails loudly
-instead of running unbounded.
+instead of running unbounded. Where the product formula gives a lower bound
+on a walk's cost, an instance the budget cannot cover is refused before the
+walk starts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ DEFAULT_BUDGET = 10_000_000
 __all__ = [
     "Signature",
     "BudgetExceededError",
+    "Budget",
     "DEFAULT_BUDGET",
     "check_signature",
     "parse_signature",
@@ -35,6 +38,7 @@ __all__ = [
     "enumerate_trapezoids",
     "rel_dim_oracle",
     "rel_dim_table",
+    "rel_dim_table_bound",
     "dim_product",
     "dim_oracle",
     "volume",
@@ -48,33 +52,72 @@ __all__ = [
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration abandoned because it consumed its work budget."""
+    """Enumeration abandoned because it would consume more than its work budget.
+
+    `budget` is the allowance in units and `consumed` the units charged
+    against it when the walk stopped. `bound` is the lower bound on the
+    walk's cost that refused it before any unit was spent, or None when the
+    walk was stopped partway.
+    """
+
+    def __init__(self, budget: int, consumed: int, bound: int | None = None):
+        if bound is None:
+            what = f"enumeration exceeded its work budget of {budget} units"
+        else:
+            what = f"enumeration needs at least {bound} work units, over its budget of {budget}"
+        super().__init__(
+            f"{what}; use the determinantal route or raise the budget "
+            "(GTKIT_BUDGET or the budget= argument)"
+        )
+        self.budget = budget
+        self.consumed = consumed
+        self.bound = bound
 
 
-class _Budget:
-    __slots__ = ("remaining",)
+class Budget:
+    """Work allowance of one oracle walk, in units (one per row cell placed).
+
+    Pass one as `budget=` to read afterwards what the walk spent (`consumed`)
+    and the lower bound its pre-flight found (`bound`, None when the oracle
+    has no pre-flight).
+    """
+
+    __slots__ = ("limit", "remaining", "bound")
 
     def __init__(self, units: int):
+        self.limit = units
         self.remaining = units
+        self.bound: int | None = None
+
+    @property
+    def consumed(self) -> int:
+        return self.limit - self.remaining
 
     def consume(self, units: int) -> None:
         self.remaining -= units
         if self.remaining < 0:
-            raise BudgetExceededError(
-                "enumeration exceeded its work budget; "
-                "use the determinantal route or raise the budget "
-                "(GTKIT_BUDGET or the budget= argument)"
-            )
+            raise BudgetExceededError(self.limit, self.consumed)
+
+    def preflight(self, bound: int) -> None:
+        """Refuse before walking when the walk is known to cost at least
+        `bound` units and they are not left. A walk that costs at least one
+        unit more than remains always fails, so this refuses nothing that
+        would have finished."""
+        self.bound = bound
+        if bound > max(self.remaining, 0):
+            raise BudgetExceededError(self.limit, self.consumed, bound)
 
 
-def _resolve_budget(budget: int | None) -> _Budget:
+def _resolve_budget(budget: int | Budget | None) -> Budget:
+    if isinstance(budget, Budget):
+        return budget
     if budget is None:
         env = os.environ.get("GTKIT_BUDGET")
         try:
             budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise ValueError(f"GTKIT_BUDGET must be an integer number of work units, got {env!r}") from None
-    return _Budget(budget)
+    return Budget(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +234,7 @@ def _row_ranges(mu: Signature, nu: Signature, m: int) -> list[range] | None:
     return ranges
 
 
-def _ascend(mu: Signature, nu: Signature, level: int, budget: _Budget) -> Iterator[tuple]:
+def _ascend(mu: Signature, nu: Signature, level: int, budget: Budget) -> Iterator[tuple]:
     """Yield all chains (row_{level+1}, ..., row_N = nu) above mu, lexicographically."""
     n = len(nu)
     if level == n:
@@ -220,7 +263,7 @@ def _ascend(mu: Signature, nu: Signature, level: int, budget: _Budget) -> Iterat
 
 
 def enumerate_trapezoids(
-    kappa: Sequence[int], nu: Sequence[int], budget: int | None = None
+    kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None
 ) -> Iterator[GTPattern]:
     """All trapezoidal patterns with bottom kappa and top nu, in lexicographic
     order on the concatenation of the rows from bottom to top."""
@@ -239,13 +282,13 @@ def enumerate_trapezoids(
         yield GTPattern((kappa,) + chain)
 
 
-def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | None = None) -> int:
+def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> int:
     """Number of trapezoids with bottom kappa and top nu, counted one by one."""
     return sum(1 for _ in enumerate_trapezoids(kappa, nu, budget))
 
 
 def _descend_counts(
-    lam: Signature, level: int, to_level: int, budget: _Budget, table: dict, weight: int
+    lam: Signature, level: int, to_level: int, budget: Budget, table: dict, weight: int
 ) -> None:
     if level == to_level:
         table[lam] = table.get(lam, 0) + weight
@@ -271,27 +314,60 @@ def _descend_counts(
     rec(0)
 
 
-def rel_dim_table(nu: Sequence[int], K: int, budget: int | None = None) -> dict:
+def rel_dim_table_bound(nu: Sequence[int], K: int) -> int:
+    """Lower bound on the work units rel_dim_table(nu, K) consumes, from the
+    product formula alone.
+
+    Each chain from nu down to level K pays K units there, and
+    dim(nu) = sum_kappa rdim(kappa, nu) * dim(kappa), so there are at least
+    dim(nu) / max dim(kappa) such chains. Every kappa in the box has
+    kappa_i - kappa_j <= W = nu_1 - nu_N, so dim(kappa) is at most
+    prod_{i<j<=K} (W + j - i) / (j - i). At K = 0 and K = N the walk
+    places no row at level K and the bound is 0.
+    """
+    nu = check_signature(nu)
+    n = len(nu)
+    if not 0 <= K <= n:
+        raise ValueError("level out of range")
+    if K in (0, n):
+        return 0
+    width = nu[0] - nu[-1]
+    num = den = 1
+    for i in range(K):
+        for j in range(i + 1, K):
+            num *= width + j - i
+            den *= j - i
+    return K * dim_product(nu) * den // num
+
+
+def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None) -> dict:
     """Trapezoid counts for every bottom row at once: {kappa: count}.
 
     Same exhaustive walk as rel_dim_oracle, grouped by where each chain
-    lands at level K.
+    lands at level K. Refused up front when rel_dim_table_bound exceeds the
+    budget.
     """
     nu = check_signature(nu)
-    if not 0 <= K <= len(nu):
-        raise ValueError("level out of range")
     b = _resolve_budget(budget)
+    b.preflight(rel_dim_table_bound(nu, K))
     table: dict = {}
     _descend_counts(nu, len(nu), K, b, table, 1)
     return table
 
 
-def dim_oracle(nu: Sequence[int], budget: int | None = None) -> int:
+def _triangular_bound(nu: Signature) -> int:
+    """Lower bound on the units of a walk from nu down to level 1: one unit
+    per triangular pattern, placed at level 1 (none when N = 1)."""
+    return dim_product(nu) if len(nu) >= 2 else 0
+
+
+def dim_oracle(nu: Sequence[int], budget: int | Budget | None = None) -> int:
     """Number of triangular patterns with top row nu, counted one by one."""
     nu = check_signature(nu)
     if not nu:
         return 1
     b = _resolve_budget(budget)
+    b.preflight(_triangular_bound(nu))
     table: dict = {}
     _descend_counts(nu, len(nu), 1, b, table, 1)
     return sum(table.values())
@@ -338,7 +414,7 @@ def q_dim(nu: Sequence[int], q) -> Rat:
     return out
 
 
-def _descend_q(lam: Signature, level: int, q: Rat, budget: _Budget) -> Rat:
+def _descend_q(lam: Signature, level: int, q: Rat, budget: Budget) -> Rat:
     if level == 1:
         return Fraction(1)
     m = level - 1
@@ -362,19 +438,18 @@ def _descend_q(lam: Signature, level: int, q: Rat, budget: _Budget) -> Rat:
     return total
 
 
-def q_dim_oracle(nu: Sequence[int], q, budget: int | None = None) -> Rat:
+def q_dim_oracle(nu: Sequence[int], q, budget: int | Budget | None = None) -> Rat:
     """Sum of q^volume over all triangular patterns, walked explicitly."""
     nu = check_signature(nu)
     q = check_q(q)
     if not nu:
         return Fraction(1)
-    if len(nu) == 1:
-        return Fraction(1)
     b = _resolve_budget(budget)
+    b.preflight(_triangular_bound(nu))
     return _descend_q(nu, len(nu), q, b)
 
 
-def q_rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], q, budget: int | None = None) -> Rat:
+def q_rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], q, budget: int | Budget | None = None) -> Rat:
     """q-weighted trapezoid count: q^{|kappa|} * sum over chains of
     q^{|row_{K+1}| + ... + |row_{N-1}|} (top row unweighted)."""
     kappa = check_signature(kappa)

@@ -30,6 +30,7 @@ from .boundary import (
 from .linalg import Rat
 from .patterns import (
     BudgetExceededError,
+    _resolve_budget,
     all_signatures,
     check_signature,
     dim_product,
@@ -706,7 +707,9 @@ def bench_signature(n: int) -> tuple:
 
 def bench_table(ns: Sequence[int], k: int = 2, budget: int | None = None) -> list[dict]:
     """Determinant route vs enumeration route at growing N: wall times, the
-    exact row-sum check, and the budget verdict for enumeration."""
+    exact row-sum check, and the budget verdict for enumeration. Each row's
+    `enumeration_work` holds the budget, the units the walk consumed and its
+    pre-flight bound."""
     rows = []
     for n in ns:
         nu = bench_signature(n)
@@ -722,8 +725,9 @@ def bench_table(ns: Sequence[int], k: int = 2, budget: int | None = None) -> lis
             "support": len(row),
         }
         t0 = time.perf_counter()
+        walk = _resolve_budget(budget)
         try:
-            table = rel_dim_table(nu, k, budget=budget)
+            table = rel_dim_table(nu, k, budget=walk)
         except BudgetExceededError as err:
             entry["enumeration"] = "budget-exceeded"
             entry["enumeration_error"] = str(err)
@@ -736,5 +740,6 @@ def bench_table(ns: Sequence[int], k: int = 2, budget: int | None = None) -> lis
                 Fraction(table.get(kappa, 0) * dim_product(kappa), dim_nu) == row[kappa]
                 for kappa in support
             )
+        entry["enumeration_work"] = {"budget": walk.limit, "consumed": walk.consumed, "bound": walk.bound}
         rows.append(entry)
     return rows

@@ -21,3 +21,17 @@ def wide_rows(draw, max_n=12, bound=15, max_k=4):
         for last in draw(st.lists(st.integers(nu[-1], cap), min_size=1, max_size=4)):
             kappas.add(tuple(prefix) + (last,))
     return nu, k, draw(st.permutations(sorted(kappas)))
+
+
+@st.composite
+def top_rows(draw, max_n=8, bound=6):
+    """A signature of length 1..max_n with parts in [-bound, bound]. The spread
+    nu_1 - nu_N is drawn first, so narrow rows, whose walks are short, come
+    up as often as wide ones."""
+    n = draw(st.integers(1, max_n))
+    width = 0 if n == 1 else draw(st.integers(0, 2 * bound))
+    low = draw(st.integers(-bound, bound - width))
+    if n == 1:
+        return (low,)
+    inner = draw(st.lists(st.integers(low, low + width), min_size=n - 2, max_size=n - 2))
+    return tuple(sorted([low + width, *inner, low], reverse=True))

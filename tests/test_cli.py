@@ -1,5 +1,7 @@
 """End-to-end CLI runs through main(); output is line-delimited JSON."""
 
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -113,7 +115,19 @@ def test_verify_vacuous_pass(capsys):
 def test_verify_budget_exhaustion_exits_3(capsys):
     code, lines, err = run(capsys, "verify", "q1-oracle", "--max-n", "5", "--budget", "20")
     assert code == 3
-    assert json.loads(err)["error"] == "budget-exceeded"
+    error = json.loads(err)
+    assert error["error"] == "budget-exceeded"
+    assert error["budget"] == 20 < error["consumed"]
+    assert error["bound"] is None  # stopped partway, not refused up front
+
+
+def test_refused_walk_exits_3_with_its_bound(capsys):
+    # the first walk, from nu = (-1, -1) to K = 1, needs at least one unit
+    code, lines, err = run(capsys, "verify", "q1-oracle", "--max-n", "2", "--part-bound", "1", "--budget", "0")
+    assert code == 3
+    error = json.loads(err)
+    assert error["consumed"] == 0 and error["bound"] > error["budget"] == 0
+    assert str(error["bound"]) in error["detail"]
 
 
 def test_verify_q_option(capsys):
@@ -125,12 +139,23 @@ def test_verify_q_option(capsys):
 
 
 def test_uat_zero_family(capsys):
-    code, lines, _ = run(capsys, "uat", "--kappa", "0", "--family", "zero", "--n", "4,5")
+    code, lines, _ = run(capsys, "uat", "--kappa", "0", "--family", "zero", "--n", "3,4,5")
     assert code == 0
     gaps = {e["label"]: e["value"] for e in lines[:-1] if e["label"].startswith("N=")}
-    assert gaps == {"N=4": "0", "N=5": "0"}
+    assert gaps == {"N=3": "0", "N=4": "0", "N=5": "0"}
     flag = [e for e in lines[:-1] if e["label"] == "strictly_decreasing"]
-    assert flag[0]["value"] is False  # zero gaps never decrease; informational only
+    assert flag[0]["value"] == "not-applicable"  # a gap that is identically 0 has no trend
+    assert lines[-1]["status"] == "not-applicable"
+
+
+def test_uat_gaps_that_grow_fail(capsys):
+    code, lines, _ = run(
+        capsys, "uat", "--kappa", "0", "--family", "linear-row:2", "--n", "8,6"
+    )
+    assert code == 1
+    flag = [e for e in lines[:-1] if e["label"] == "strictly_decreasing"]
+    assert flag[0]["value"] is False
+    assert lines[-1]["status"] == "fail"
 
 
 def test_uat_linear_family_decreases(capsys):
@@ -149,6 +174,17 @@ def test_bench_small(capsys):
     assert entry["enumeration"] == "completed"
     assert entry["enum_matches_det"] is True
     assert entry["row_sum_1"] is True
+    assert "enumeration_work" not in entry
+
+
+def test_bench_reports_enumeration_work_under_timing(capsys):
+    code, lines, _ = run(capsys, "bench", "--n", "5,20", "--level", "2", "--budget", "300000")
+    assert code == 0
+    assert [e["enumeration"] for e in lines[:-1]] == ["completed", "budget-exceeded"]
+    done, refused = lines[-1]["timing"]["enumeration_work"]
+    assert done["N"] == 5 and done["budget"] == 300_000
+    assert 0 < done["bound"] <= done["consumed"] <= 300_000
+    assert refused["N"] == 20 and refused["consumed"] == 0 and refused["bound"] > 300_000
 
 
 def test_csv_output(capsys):
@@ -157,6 +193,19 @@ def test_csv_output(capsys):
     assert code == 0
     assert out[0].startswith("label,value,mode,tolerance")
     assert any(line.startswith("row_sum,1,") for line in out[1:])
+
+
+def test_csv_summary_goes_to_stderr(capsys):
+    code = main(["--csv", "verify", "q-to-1", "--max-n", "3", "--part-bound", "9"])
+    captured = capsys.readouterr()
+    assert code == 0
+    table = list(csv.reader(io.StringIO(captured.out)))
+    assert table[0][:2] == ["label", "value"] and len(table) > 1
+    assert {len(row) for row in table} == {len(table[0])}  # stdout is the table alone
+    summary = json.loads(captured.err)
+    assert summary["command"] == "verify" and summary["status"] == "pass"
+    assert summary["ignored_bounds"] == ["max_n", "part_bound"]
+    assert summary["timing"]["total_seconds"] >= 0
 
 
 def test_out_file_roundtrip(tmp_path, capsys):

@@ -3,10 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit.patterns import (
+    Budget,
     BudgetExceededError,
     GTPattern,
     all_signatures,
@@ -23,9 +24,13 @@ from gtkit.patterns import (
     q_rel_dim_oracle,
     rel_dim_oracle,
     rel_dim_table,
+    rel_dim_table_bound,
     support_box,
     volume,
 )
+from gtkit.verify import bench_signature
+
+from strategies import top_rows
 
 small_sig = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -110,6 +115,106 @@ def test_support_box_covers_support():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         dim_oracle((40, 20, 0, -20, -40), budget=100)
+
+
+# ---------------------------------------------------------------------------
+# the budget pre-flight
+
+WALK_CAP = 20_000  # units; a walk that needs more is refused or stopped
+
+
+def _spent(oracle, *args):
+    """(pre-flight bound, units consumed) of a walk that finishes within
+    WALK_CAP, or None when it is refused or stopped."""
+    walk = Budget(WALK_CAP)
+    try:
+        oracle(*args, budget=walk)
+    except BudgetExceededError as err:
+        if err.bound is None:  # stopped partway: the pre-flight let it start
+            assert walk.bound is not None and walk.bound <= WALK_CAP < err.consumed
+        else:
+            assert err.consumed == 0 and err.bound > WALK_CAP
+        return None
+    return walk.bound, walk.consumed
+
+
+@settings(max_examples=120, deadline=None)
+@given(top_rows().flatmap(lambda nu: st.tuples(st.just(nu), st.integers(0, len(nu)))))
+@example(((3,), 0))
+@example(((3,), 1))
+@example(((2, 0, -1), 0))
+@example(((2, 0, -1), 3))
+def test_rel_dim_table_bound_never_exceeds_the_walk(nu_k):
+    nu, k = nu_k
+    spent = _spent(rel_dim_table, nu, k)
+    if spent is not None:
+        bound, consumed = spent
+        assert bound == rel_dim_table_bound(nu, k) <= consumed
+
+
+@settings(max_examples=60, deadline=None)
+@given(top_rows())
+@example((3,))
+def test_triangular_bounds_never_exceed_the_walk(nu):
+    for oracle, args in ((dim_oracle, (nu,)), (q_dim_oracle, (nu, F(2, 3)))):
+        spent = _spent(oracle, *args)
+        if spent is not None:
+            bound, consumed = spent
+            assert bound == (dim_product(nu) if len(nu) >= 2 else 0) <= consumed
+
+
+def test_rel_dim_table_bound_small_sweep():
+    # every walk here finishes, so each bound is checked against a real count
+    for n in range(1, 6):
+        for nu in all_signatures(n, -2, 2):
+            for k in range(n + 1):
+                walk = Budget(10**9)
+                rel_dim_table(nu, k, budget=walk)
+                assert walk.bound <= walk.consumed, (nu, k)
+
+
+def test_edge_levels_have_zero_bound():
+    nu = (4, 1, 0, -3)
+    assert rel_dim_table_bound(nu, 0) == rel_dim_table_bound(nu, 4) == 0
+    assert rel_dim_table_bound((7,), 0) == rel_dim_table_bound((7,), 1) == 0
+    # K = N places no row, so it finishes on any budget, however small
+    assert rel_dim_table(nu, 4, budget=0) == {nu: 1}
+    assert dim_oracle((7,), budget=0) == 1
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (rel_dim_table, ((9, 5, 0, -4, -9), 2)),
+        (dim_oracle, ((9, 5, 0, -4, -9),)),
+        (q_dim_oracle, ((9, 5, 0, -4, -9), F(1, 2))),
+    ],
+)
+def test_refusal_spends_nothing_and_names_its_bound(oracle, args):
+    walk = Budget(1000)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle(*args, budget=walk)
+    err = info.value
+    assert (err.budget, err.consumed) == (1000, 0)
+    assert err.bound > err.budget
+    assert walk.remaining == 1000
+    assert f"at least {err.bound} work units" in str(err)
+
+
+def test_partway_stop_has_no_bound():
+    with pytest.raises(BudgetExceededError) as info:
+        rel_dim_table((3, 1, 0, -2), 1, budget=400)  # bound 300, the walk needs 570
+    err = info.value
+    assert err.bound is None and err.budget == 400 < err.consumed
+
+
+def test_every_enum_refusal_pair_is_refused_up_front():
+    # the benchmark's enum-refusal workload: N in 8..20, K in 1..3, 300k units
+    for n in range(8, 21):
+        for k in (1, 2, 3):
+            with pytest.raises(BudgetExceededError) as info:
+                rel_dim_table(bench_signature(n), k, budget=300_000)
+            assert info.value.consumed == 0 and info.value.bound > 300_000, (n, k)
 
 
 def test_enumeration_is_lexicographic_and_complete():
