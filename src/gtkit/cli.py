@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+from . import qlinks, reldim
 from .patterns import BudgetExceededError, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, link_row, rel_dim_ratio
@@ -174,9 +175,34 @@ def _cmd_rdim(args) -> RunReport:
     return report
 
 
+# The coefficient caches behind each row command, captured at import so that
+# wrappers later bound over the module names (as perfbench's tracer does)
+# leave the counts read here untouched.
+_DET_CACHES = {"prefix_cofactors": reldim._prefix_cofactors, "cleared_column": reldim._cleared_column}
+_ROW_CACHES = {
+    "link": {"A_coeff": reldim.A_coeff, **_DET_CACHES},
+    "qlink": {"qA_coeff": qlinks.qA_coeff, **_DET_CACHES},
+}
+
+
+def _cache_counts(command: str) -> dict:
+    return {name: fn.cache_info() for name, fn in _ROW_CACHES[command].items()}
+
+
+def _cache_stats(command: str, before: dict) -> dict:
+    """Hits and misses of `command`'s caches since the `_cache_counts` snapshot `before`."""
+    return {
+        name: {"hits": info.hits - before[name].hits, "misses": info.misses - before[name].misses}
+        for name, info in _cache_counts(command).items()
+    }
+
+
 def _cmd_link(args) -> RunReport:
     report = RunReport("link", {"nu": format_signature(args.nu), "level": args.level})
+    before = _cache_counts("link")
     row = link_row(args.nu, args.level)
+    # under `timing`, so the entries and digests stay comparable across runs
+    report.timing["stats"] = _cache_stats("link", before)
     for kappa, weight in row.items():
         report.results.append(_entry(format_signature(kappa), weight))
     report.results.append(_entry("row_sum", row.total))
@@ -189,7 +215,9 @@ def _cmd_qlink(args) -> RunReport:
         "qlink",
         {"nu": format_signature(args.nu), "level": args.level, "q": str(args.q)},
     )
+    before = _cache_counts("qlink")
     row = q_link_row(args.nu, args.level, args.q)
+    report.timing["stats"] = _cache_stats("qlink", before)
     for kappa, weight in row.items():
         report.results.append(_entry(format_signature(kappa), weight))
     report.results.append(_entry("row_sum", row.total))
@@ -256,14 +284,16 @@ def _cmd_uat(args) -> RunReport:
         )
     exact = args.mode == "exact"
     gaps = [Fraction(r["gap"]) if exact else r["gap"] for r in rows]
+    # the trend is judged on the same numbers as the gaps, so it carries their mode
+    judged = {"mode": args.mode, "tolerance": None if exact else args.tolerance}
     if len(gaps) < 2 or all(gap <= (0 if exact else args.tolerance) for gap in gaps):
         # gaps that are all 0 (kappa = nu = 0 for the zero family), or a single
         # N, have no trend to check
-        report.results.append(_entry("strictly_decreasing", "not-applicable"))
+        report.results.append(_entry("strictly_decreasing", "not-applicable", **judged))
         report.status = "not-applicable"
         return report
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
-    report.results.append(_entry("strictly_decreasing", decreasing))
+    report.results.append(_entry("strictly_decreasing", decreasing, **judged))
     report.status = "pass" if decreasing else "fail"
     return report
 
@@ -326,7 +356,8 @@ def _emit(report: RunReport, use_csv: bool, out_path: str | None, stream, err_st
         writer = csv.DictWriter(stream, fieldnames=keys)
         writer.writeheader()
         for entry in report.results:
-            writer.writerow(entry)
+            # booleans in the JSON spelling, as the JSON lines write them
+            writer.writerow({k: json.dumps(v) if isinstance(v, bool) else v for k, v in entry.items()})
         print(json.dumps(summary), file=err_stream)
         return
     for entry in report.results:

@@ -25,7 +25,6 @@ __all__ = [
     "clear_denominators",
     "prefix_cofactors",
     "pochhammer",
-    "q_pochhammer",
     "elementary_sym",
     "complete_sym",
     "vandermonde_matrix",
@@ -196,20 +195,6 @@ def pochhammer(y: RatLike, m: int) -> Rat:
     out = Fraction(1)
     for s in range(m):
         out *= y + s
-    return out
-
-
-def q_pochhammer(a: RatLike, q: RatLike, m: int) -> Rat:
-    """(a; q)_m = (1-a)(1-aq)...(1-aq^{m-1}); empty product for m = 0."""
-    if m < 0:
-        raise ValueError("q-Pochhammer needs m >= 0")
-    a = Fraction(a)
-    q = Fraction(q)
-    out = Fraction(1)
-    power = Fraction(1)
-    for _ in range(m):
-        out *= 1 - a * power
-        power *= q
     return out
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import operator
 import os
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import Rat
 
@@ -395,10 +396,52 @@ def dim_product(nu: Sequence[int]) -> int:
 
 
 def check_q(q) -> Rat:
-    q = Fraction(q)
-    if not 0 < q < 1:
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    if not 0 < q.numerator < q.denominator:
         raise ValueError(f"q must satisfy 0 < q < 1, got {q}")
     return q
+
+
+def _q_diff_product(q: Rat, pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """prod (q^u - q^v) over the exponent pairs (u, v), at q = a/b in lowest
+    terms, as (c, ea, eb): the product is c * a^ea * b^eb.
+
+    With m = min(u, v) and d = |u - v|, a factor is q^m (1 - q^d) up to sign,
+    that is +-a^m b^{-m-d} (b^d - a^d), so the product takes integer
+    multiplications only. Each b^d - a^d is prime to a and to b, hence so is
+    c. A pair with u == v gives c = 0.
+    """
+    a, b = q.numerator, q.denominator
+    c, ea, eb = 1, 0, 0
+    for u, v in pairs:
+        if u > v:
+            u, v = v, u
+            c = -c
+        c *= b ** (v - u) - a ** (v - u)
+        ea += u
+        eb -= v
+    return c, ea, eb
+
+
+def _q_fraction(q: Rat, num: int, den: int, ea: int, eb: int) -> Rat:
+    """num / den * a^ea * b^eb for q = a/b, normalised once as one Fraction."""
+    a, b = q.numerator, q.denominator
+    if ea >= 0:
+        num *= a**ea
+    else:
+        den *= a**-ea
+    if eb >= 0:
+        num *= b**eb
+    else:
+        den *= b**-eb
+    return Fraction(num, den)
+
+
+@lru_cache(maxsize=64)
+def _q_dim_denominator(n: int, q: Rat) -> tuple[int, int, int]:
+    """prod_{i<j<=n} (q^{-i} - q^{-j}) in the form of _q_diff_product."""
+    return _q_diff_product(q, ((-i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
 def q_dim(nu: Sequence[int], q) -> Rat:
@@ -406,12 +449,10 @@ def q_dim(nu: Sequence[int], q) -> Rat:
     prod_{i<j} (q^{nu_i - i} - q^{nu_j - j}) / (q^{-i} - q^{-j})."""
     nu = check_signature(nu)
     q = check_q(q)
-    n = len(nu)
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out *= (q ** (nu[i - 1] - i) - q ** (nu[j - 1] - j)) / (q**-i - q**-j)
-    return out
+    x = [v - i for i, v in enumerate(nu, start=1)]
+    num, ea, eb = _q_diff_product(q, ((xi, xj) for i, xi in enumerate(x) for xj in x[i + 1 :]))
+    den, da, db = _q_dim_denominator(len(nu), q)
+    return _q_fraction(q, num, den, ea - da, eb - db)
 
 
 def _descend_q(lam: Signature, level: int, q: Rat, budget: Budget) -> Rat:

@@ -10,14 +10,21 @@ sums psi^T, and reduces to the first when T = {0, ..., N-K-1}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .linalg import Rat, RatLike, RatMatrix, q_pochhammer, vandermonde_inverse
-from .patterns import Signature, check_q, check_signature, q_dim, support_box
+from .linalg import Rat, RatLike, RatMatrix, vandermonde_inverse
+from .patterns import (
+    Signature,
+    _q_diff_product,
+    _q_fraction,
+    check_q,
+    check_signature,
+    q_dim,
+    support_box,
+)
 from .reldim import A_coeff, DetContext, LinkRow, coefficient_det
 from .schur import h_at_q_powers, schur_bialternant
 
@@ -62,10 +69,13 @@ class QDetContext:
         return tuple(v - j for j, v in enumerate(self.nu, start=1))
 
     @cached_property
-    def barycentric(self) -> tuple[Rat, ...]:
-        """Node products prod_{r != j} (q^{a_j} - q^{a_r}), computed once per context."""
-        b = [self.q**a for a in self.nodes()]
-        return tuple(math.prod(bj - br for r, br in enumerate(b) if r != j) for j, bj in enumerate(b))
+    def barycentric(self) -> tuple[tuple[int, int, int], ...]:
+        """Node products prod_{r != j} (q^{a_j} - q^{a_r}), computed once per
+        context, each as the (c, ea, eb) triple of _q_diff_product."""
+        a = self.nodes()
+        return tuple(
+            _q_diff_product(self.q, ((aj, ar) for r, ar in enumerate(a) if r != j)) for j, aj in enumerate(a)
+        )
 
 
 @dataclass(frozen=True)
@@ -94,48 +104,43 @@ class TSpec:
         return tuple(sorted(self.N - s for s in self.S))
 
 
-def _q_poly_part(ctx: QDetContext, i: int, node: int) -> Rat:
+def _q_poly_part(ctx: QDetContext, i: int, node: int) -> tuple[int, int, int]:
     """prod_{r=1..N} (q^node - q^{-r}) / prod_{r=i..N-K+i} (...) with the
-    shared index range cancelled symbolically."""
-    n, k, q = ctx.N, ctx.K, ctx.q
-    base = q**node
-    out = Fraction(1)
-    for r in range(1, i):
-        out *= base - q**-r
-    for r in range(n - k + i + 1, n + 1):
-        out *= base - q**-r
-    return out
+    shared index range cancelled symbolically, as a _q_diff_product triple."""
+    n, k = ctx.N, ctx.K
+    return _q_diff_product(
+        ctx.q, [(node, -r) for r in range(1, i)] + [(node, -r) for r in range(n - k + i + 1, n + 1)]
+    )
 
 
 @lru_cache(maxsize=1 << 18)
 def qA_coeff(ctx: QDetContext, i: int, x: int) -> Rat:
-    """q-residue sum at the particle positions a_j = nu_j - j >= x."""
+    """q-residue sum at the particle positions a_j = nu_j - j >= x.
+
+    The node a_j contributes (1 - q^{N-K}) (q^{a_j+1-x}; q)_{N-K-1} times
+    the polynomial part over the node product; every factor is a difference
+    of q-powers, so each term is built in integers and normalised once."""
     if not 1 <= i <= ctx.K:
         raise ValueError("coefficient index out of range")
-    n, k, q = ctx.N, ctx.K, ctx.q
+    m, q = ctx.N - ctx.K, ctx.q
     total = Fraction(0)
-    for aj, weight in zip(ctx.nodes(), ctx.barycentric):
+    for aj, (w, wa, wb) in zip(ctx.nodes(), ctx.barycentric):
         if aj < x:
             break
-        total += (
-            q_pochhammer(q ** (aj + 1 - x), q, n - k - 1)
-            * _q_poly_part(ctx, i, aj)
-            / weight
-        )
-    return (1 - q ** (n - k)) * total
+        c, ea, eb = _q_diff_product(q, [(0, s) for s in range(aj + 1 - x, aj - x + m)] + [(0, m)])
+        p, pa, pb = _q_poly_part(ctx, i, aj)
+        total += _q_fraction(q, c * p, w, ea + pa - wa, eb + pb - wb)
+    return total
 
 
 def q_prefactor(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
     """(-1)^{K(N-K)} q^{(N-K)|kappa|} q^{-K(N-K)(N+2)/2}."""
-    n, k, q = ctx.N, ctx.K, ctx.q
+    n, k = ctx.N, ctx.K
     half, odd = divmod(k * (n - k) * (n + 2), 2)
     if odd:
         raise ArithmeticError(f"K(N-K)(N+2) is odd for K={k}, N={n}")
-    return (
-        Fraction(-1) ** (k * (n - k))
-        * q ** ((n - k) * sum(kappa))
-        * q ** (-half)
-    )
+    e = (n - k) * sum(kappa) - half
+    return _q_fraction(ctx.q, (-1) ** (k * (n - k)), 1, e, -e)
 
 
 def q_rel_dim_ratio(ctx: QDetContext, kappa: Sequence[int]) -> Rat:

@@ -158,6 +158,21 @@ def test_uat_gaps_that_grow_fail(capsys):
     assert lines[-1]["status"] == "fail"
 
 
+def test_uat_trend_carries_the_run_mode(capsys):
+    for family, expected in (("zero", "not-applicable"), ("linear-row:2", True)):
+        code, lines, _ = run(
+            capsys, "uat", "--kappa", "0", "--family", family, "--n", "6,8",
+            "--mode", "numeric", "--tolerance", "1e-9",
+        )
+        assert code == 0
+        flag = [e for e in lines[:-1] if e["label"] == "strictly_decreasing"][0]
+        assert flag["value"] == expected
+        assert (flag["mode"], flag["tolerance"]) == ("numeric", 1e-9)
+    code, lines, _ = run(capsys, "uat", "--kappa", "0", "--family", "linear-row:2", "--n", "6,8")
+    flag = [e for e in lines[:-1] if e["label"] == "strictly_decreasing"][0]
+    assert (flag["mode"], flag["tolerance"]) == ("exact", None)
+
+
 def test_uat_linear_family_decreases(capsys):
     code, lines, _ = run(
         capsys, "uat", "--kappa", "0", "--family", "linear-row:2", "--n", "6,8"
@@ -206,6 +221,28 @@ def test_csv_summary_goes_to_stderr(capsys):
     assert summary["command"] == "verify" and summary["status"] == "pass"
     assert summary["ignored_bounds"] == ["max_n", "part_bound"]
     assert summary["timing"]["total_seconds"] >= 0
+
+
+def test_csv_booleans_use_the_json_spelling(capsys):
+    code = main(["--csv", "verify", "q-to-1", "--max-n", "3", "--part-bound", "9"])
+    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0 and table
+    assert {row["ok"] for row in table} == {"true"}
+
+
+def test_row_commands_report_cache_stats_under_timing(capsys):
+    # a q no other test uses, so the coefficient cache starts cold for this row
+    code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "11/13")
+    assert code == 0
+    stats = lines[-1]["timing"]["stats"]
+    assert set(stats) == {"qA_coeff", "prefix_cofactors", "cleared_column"}
+    assert stats["qA_coeff"]["misses"] > 0
+    assert all(e.keys() == {"label", "value", "mode", "tolerance"} for e in lines[:-1])
+    code, lines, _ = run(capsys, "link", "3,1,0,-2", "--level", "2")
+    assert set(lines[-1]["timing"]["stats"]) == {"A_coeff", "prefix_cofactors", "cleared_column"}
+    # a repeated row finds every coefficient in the cache
+    code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "11/13")
+    assert lines[-1]["timing"]["stats"]["qA_coeff"]["misses"] == 0
 
 
 def test_out_file_roundtrip(tmp_path, capsys):

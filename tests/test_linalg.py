@@ -26,7 +26,6 @@ from gtkit.linalg import (
     poly_rising,
     poly_scale,
     prefix_cofactors,
-    q_pochhammer,
     rat,
     vandermonde_det,
     vandermonde_inverse,
@@ -125,12 +124,6 @@ def test_pochhammer_values():
     assert pochhammer(F(1, 2), 2) == F(3, 4)
     assert pochhammer(7, 0) == 1
     assert pochhammer(-2, 4) == 0  # crosses zero
-
-
-def test_q_pochhammer_values():
-    q = F(1, 2)
-    assert q_pochhammer(F(1, 4), q, 2) == (1 - F(1, 4)) * (1 - F(1, 8))
-    assert q_pochhammer(5, q, 0) == 1
 
 
 def test_symmetric_polynomials():

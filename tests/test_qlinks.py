@@ -3,12 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import wide_rows
+from strategies import top_rows, wide_rows
 
 from gtkit.linalg import det
-from gtkit.patterns import q_dim, q_rel_dim_oracle, support_box
+from gtkit.patterns import q_dim, q_dim_oracle, q_rel_dim_oracle, support_box
 from gtkit.qlinks import (
     QDetContext,
     TSpec,
@@ -159,3 +159,36 @@ def test_q_ratio_equals_prefactor_times_det_wide_rows(case, q):
     for kappa in kappas:
         matrix = [[qA_coeff(ctx, i, kappa[j] - j - 1) for j in range(k)] for i in range(1, k + 1)]
         assert q_rel_dim_ratio(ctx, kappa) == q_prefactor(ctx, kappa) * det(matrix), kappa
+
+
+@st.composite
+def wide_qs(draw, max_den=60):
+    """q = a/b with 1 <= a < b <= max_den, the ends a = 1 and a = b - 1 drawn
+    as often as the interior."""
+    b = draw(st.integers(2, max_den))
+    a = draw(st.one_of(st.just(1), st.just(b - 1), st.integers(1, b - 1)))
+    return F(a, b)
+
+
+@st.composite
+def rows_with_level(draw):
+    """A top row with N <= 5 and parts in [-4, 4], and a level 1 <= K < N
+    (None when N = 1)."""
+    nu = draw(top_rows(max_n=5, bound=4))
+    return nu, draw(st.integers(1, len(nu) - 1)) if len(nu) > 1 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_with_level(), wide_qs())
+@example(((4, 1, -1, -4), 2), F(1, 60))
+@example(((4, 1, -1, -4), 2), F(59, 60))
+@example(((0, -2, -3, -4, -4), 3), F(1, 2))
+def test_integer_q_route_equals_oracles_at_wide_q(case, q):
+    nu, k = case
+    top = q_dim(nu, q)
+    assert top == q_dim_oracle(nu, q)
+    if k is None:
+        return
+    ctx = QDetContext(k, nu, q)
+    for kappa in support_box(nu, k):
+        assert q_rel_dim_ratio(ctx, kappa) * top == q_rel_dim_oracle(kappa, nu, q), (nu, k, kappa)
