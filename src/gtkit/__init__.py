@@ -9,7 +9,7 @@ unless a function explicitly offers a numeric quadrature mode.
 from .boundary import (
     LaurentWindow,
     OmegaPoint,
-    R_kernel,
+    QuadratureError,
     a_coeff_quadrature,
     embed,
     link_infinity,
@@ -18,7 +18,7 @@ from .boundary import (
     phi_signature,
     uat_gap,
 )
-from .linalg import Nodes, Rat, RatMatrix, det, rat
+from .linalg import Rat, RatMatrix, det
 from .patterns import (
     DEFAULT_BUDGET,
     Budget,
@@ -69,7 +69,6 @@ from .reldim import (
     A_coeff,
     A_matrix,
     DetContext,
-    H_star,
     LinkRow,
     PoleError,
     bo_coefficient,
@@ -86,9 +85,6 @@ from .schur import (
     schur_combinatorial,
     schur_value,
     skew_schur_combinatorial,
-    skew_schur_jacobi_trudi,
-    skew_schur_one_variable,
-    skew_schur_one_variable_det,
 )
 from .verify import SUITES, CaseResult, bench_table, run_suite, uat_table
 

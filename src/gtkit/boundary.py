@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,7 +37,7 @@ __all__ = [
     "phi_signature",
     "link_infinity",
     "embed",
-    "R_kernel",
+    "QuadratureError",
     "a_coeff_quadrature",
     "uat_gap",
 ]
@@ -210,6 +211,34 @@ def _exact_coeff(shift, quot, residues, inside, outside, n: int) -> Rat:
     return out
 
 
+# ---------------------------------------------------------------------------
+# unit-circle quadrature with doubling
+
+
+class QuadratureError(ArithmeticError):
+    """Unit-circle quadrature that did not settle within its point budget."""
+
+
+def _circle_means(integrands, tolerance: float, max_points: int) -> list[float]:
+    """Real parts of the means of integrands(us) over m midpoint nodes of the
+    unit circle, m doubling from 64 until no mean moves by `tolerance`."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"quadrature tolerance must be positive and finite, got {tolerance}")
+    m = 64
+    prev = None
+    while m <= max_points:
+        theta = 2 * np.pi * (np.arange(m) + 0.5) / m
+        current = [complex(np.mean(vals)).real for vals in integrands(np.exp(1j * theta))]
+        if prev is not None and max(abs(a - b) for a, b in zip(current, prev)) < tolerance:
+            return current
+        prev = current
+        m *= 2
+    raise QuadratureError(
+        f"quadrature did not converge to tolerance {tolerance} within {max_points} points; "
+        "raise max_points or tolerance"
+    )
+
+
 @dataclass
 class LaurentWindow:
     """Coefficients phi_n for n_min <= n <= n_max, with provenance."""
@@ -247,22 +276,14 @@ def phi_coeffs(
         return LaurentWindow(n_min, n_max, coeffs, "exact", None)
     if mode != "numeric":
         raise ValueError("mode must be 'exact' or 'numeric'")
-    m = 64
-    prev = None
-    while m <= max_points:
-        theta = 2 * np.pi * (np.arange(m) + 0.5) / m
-        us = np.exp(1j * theta)
+    ns = range(n_min, n_max + 1)
+
+    def integrands(us):
         vals = _phi_complex(omega, us)
-        current = {
-            n: complex(np.mean(vals * us ** (-n))).real for n in range(n_min, n_max + 1)
-        }
-        if prev is not None:
-            gap = max(abs(current[n] - prev[n]) for n in current)
-            if gap < tolerance:
-                return LaurentWindow(n_min, n_max, current, "numeric", tolerance)
-        prev = current
-        m *= 2
-    raise RuntimeError("quadrature did not converge; raise max_points or tolerance")
+        return [vals * us ** (-n) for n in ns]
+
+    means = _circle_means(integrands, tolerance, max_points)
+    return LaurentWindow(n_min, n_max, dict(zip(ns, means)), "numeric", tolerance)
 
 
 def _phi_complex(omega: OmegaPoint, us: np.ndarray) -> np.ndarray:
@@ -362,19 +383,6 @@ def embed(nu: Sequence[int]) -> OmegaPoint:
 # unit-circle representation of the finite coefficients
 
 
-def R_kernel(N: int, K: int, x: int, i: int, u):
-    """Kernel whose pairing with Phi(.; embed(nu)) over the unit circle gives
-    the finite coefficient A_i(x); tends to u^{-(x+i)} as N grows."""
-    if u == 1:
-        raise PoleError("u = 1 is the singular direction of the kernel")
-    y = N / (u - 1)
-    out = N * (N - K) * u / (u - 1) ** 2
-    for s in range(N - K - 1):
-        out *= (y - x + Fraction(1, 2) + s) / (y + i - Fraction(1, 2) + s)
-    out /= (y + i - Fraction(1, 2) + (N - K - 1)) * (y + i - Fraction(1, 2) + (N - K))
-    return out
-
-
 def a_coeff_quadrature(
     nu: Sequence[int],
     K: int,
@@ -390,21 +398,15 @@ def a_coeff_quadrature(
     if not n > K + x + 1:
         raise ValueError("representation requires N > K + x + 1")
     omega = embed(nu)
-    m = 64
-    prev = None
-    while m <= max_points:
-        theta = 2 * np.pi * (np.arange(m) + 0.5) / m
-        us = np.exp(1j * theta)
-        vals = _phi_complex(omega, us) * _r_kernel_complex(n, K, x, i, us)
-        current = complex(np.mean(vals)).real
-        if prev is not None and abs(current - prev) < tolerance:
-            return current
-        prev = current
-        m *= 2
-    raise RuntimeError("quadrature did not converge; raise max_points or tolerance")
+    (mean,) = _circle_means(
+        lambda us: [_phi_complex(omega, us) * _r_kernel_complex(n, K, x, i, us)], tolerance, max_points
+    )
+    return mean
 
 
 def _r_kernel_complex(N: int, K: int, x: int, i: int, us: np.ndarray) -> np.ndarray:
+    """Kernel R(u) whose pairing with Phi(.; embed(nu)) over the unit circle
+    gives the finite coefficient A_i(x); tends to u^{-(x+i)} as N grows."""
     y = N / (us - 1)
     out = N * (N - K) * us / (us - 1) ** 2
     for s in range(N - K - 1):

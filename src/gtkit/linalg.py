@@ -18,38 +18,26 @@ RatLike = Union[Fraction, int, str]
 
 __all__ = [
     "Rat",
-    "rat",
     "RatMatrix",
-    "Nodes",
     "det",
     "clear_denominators",
     "prefix_cofactors",
     "pochhammer",
     "elementary_sym",
     "complete_sym",
-    "vandermonde_matrix",
     "vandermonde_det",
     "vandermonde_inverse",
-    "vandermonde_sum",
     "poly_add",
     "poly_scale",
     "poly_mul",
     "poly_eval",
     "poly_deg",
     "poly_coeff",
-    "poly_deriv",
     "poly_divmod",
     "poly_div_exact",
     "poly_from_roots",
     "poly_rising",
 ]
-
-
-def rat(value: RatLike, den: int | None = None) -> Rat:
-    """Coerce to an exact rational. Accepts ints, Fractions, and 'p/q' strings."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +125,6 @@ class RatMatrix:
                 raise ValueError("matrix rows must all have the same length")
         self._rows: tuple[tuple[Rat, ...], ...] = tuple(entries)
 
-    @classmethod
-    def from_function(cls, nrows: int, ncols: int, fn) -> "RatMatrix":
-        return cls([[fn(i, j) for j in range(ncols)] for i in range(nrows)])
-
     @property
     def shape(self) -> tuple[int, int]:
         if not self._rows:
@@ -158,10 +142,6 @@ class RatMatrix:
             raise IndexError(f"index ({i}, {j}) outside {nr}x{nc} matrix")
         return self._rows[i][j]
 
-    def transpose(self) -> "RatMatrix":
-        nr, nc = self.shape
-        return RatMatrix([[self._rows[i][j] for i in range(nr)] for j in range(nc)])
-
     def det(self) -> Rat:
         return det(self._rows)
 
@@ -170,17 +150,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self._rows]})"
-
-
-class Nodes(tuple):
-    """Strictly decreasing tuple of exact rationals (interpolation nodes)."""
-
-    def __new__(cls, values: Iterable[RatLike]):
-        vals = tuple(Fraction(v) for v in values)
-        for a, b in zip(vals, vals[1:]):
-            if not a > b:
-                raise ValueError(f"nodes must be strictly decreasing, got {a} then {b}")
-        return super().__new__(cls, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +170,18 @@ def pochhammer(y: RatLike, m: int) -> Rat:
 def elementary_sym(m: int, values: Sequence[RatLike]) -> Rat:
     """Elementary symmetric polynomial e_m; e_0 = 1, zero outside 0..len(values)."""
     vals = [Fraction(v) for v in values]
-    n = len(vals)
-    if m < 0 or m > n:
+    if m < 0 or m > len(vals):
         return Fraction(0)
-    # one row of the Newton triangle per variable
+    return _elementary_row(vals, m)[m]
+
+
+def _elementary_row(vals: Sequence[Rat], m: int) -> list[Rat]:
+    """[e_0, ..., e_m] of vals, by one row of the Newton triangle per variable."""
     row = [Fraction(1)] + [Fraction(0)] * m
     for v in vals:
         for k in range(m, 0, -1):
             row[k] += v * row[k - 1]
-    return row[m]
+    return row
 
 
 def complete_sym(m: int, values: Sequence[RatLike]) -> Rat:
@@ -239,15 +211,8 @@ def complete_sym(m: int, values: Sequence[RatLike]) -> Rat:
 # Vandermonde systems
 
 
-def vandermonde_matrix(nodes: Sequence[RatLike]) -> RatMatrix:
-    """Matrix [a_i^{N-j}] for i, j = 1..N (highest power in first column)."""
-    a = [Fraction(v) for v in nodes]
-    n = len(a)
-    return RatMatrix([[a[i] ** (n - 1 - j) for j in range(n)] for i in range(n)])
-
-
 def vandermonde_det(nodes: Sequence[RatLike]) -> Rat:
-    """prod_{i<j} (a_i - a_j), the determinant of vandermonde_matrix."""
+    """prod_{i<j} (a_i - a_j), the determinant of [a_i^{N-j}]."""
     a = [Fraction(v) for v in nodes]
     out = Fraction(1)
     for i in range(len(a)):
@@ -273,28 +238,9 @@ def vandermonde_inverse(nodes: Sequence[RatLike]) -> RatMatrix:
         denom = Fraction(1)
         for r in others:
             denom *= a[j] - r
-        cols.append([(-1) ** i * elementary_sym(i, others) / denom for i in range(n)])
+        e = _elementary_row(others, n - 1)
+        cols.append([(-1) ** i * e[i] / denom for i in range(n)])
     return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-
-
-def vandermonde_sum(nodes: Sequence[RatLike], f_coeffs: Sequence[RatLike], i: int) -> Rat:
-    """sum_j [V^{-1}]_{ij} f(a_j) for a polynomial f of degree < N.
-
-    Equals the coefficient of w^{N-i} in f (1-based i); raising on
-    deg f >= N keeps silent extrapolation out.
-    """
-    a = [Fraction(v) for v in nodes]
-    n = len(a)
-    f = tuple(Fraction(c) for c in f_coeffs)
-    if poly_deg(f) >= n:
-        raise ValueError("polynomial degree must be < number of nodes")
-    if not 1 <= i <= n:
-        raise ValueError("row index out of range")
-    inv = vandermonde_inverse(a)
-    total = Fraction(0)
-    for j in range(n):
-        total += inv[i - 1, j] * poly_eval(f, a[j])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +299,6 @@ def poly_eval(p: Sequence[RatLike], x) -> Rat:
     return out
 
 
-def poly_deriv(p: Sequence[RatLike]) -> tuple[Rat, ...]:
-    return _norm([Fraction(c) * k for k, c in enumerate(p)][1:])
-
-
 def poly_divmod(p: Sequence[RatLike], q: Sequence[RatLike]) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
     """Quotient and remainder over the rationals."""
     p = list(_norm([Fraction(c) for c in p]))
@@ -385,10 +327,15 @@ def poly_div_exact(p: Sequence[RatLike], q: Sequence[RatLike]) -> tuple[Rat, ...
 
 def poly_from_roots(roots: Iterable[RatLike]) -> tuple[Rat, ...]:
     """Monic polynomial prod (z - r)."""
-    out: tuple[Rat, ...] = (Fraction(1),)
+    out = [Fraction(1)]
     for r in roots:
-        out = poly_mul(out, (-Fraction(r), Fraction(1)))
-    return out
+        r = Fraction(r)
+        # multiply by (z - r) in place, highest coefficient first
+        out.append(out[-1])
+        for k in range(len(out) - 2, 0, -1):
+            out[k] = out[k - 1] - r * out[k]
+        out[0] = -r * out[0]
+    return tuple(out)
 
 
 def poly_rising(y0: RatLike, m: int) -> tuple[Rat, ...]:

@@ -43,30 +43,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QDetContext:
+class QDetContext(DetContext):
     """Trapezoid family with a q-weight: bottom length K, top row nu, 0<q<1."""
 
-    K: int
-    nu: Signature
     q: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", check_signature(self.nu))
         object.__setattr__(self, "q", check_q(self.q))
-        if not 1 <= self.K < len(self.nu):
-            raise ValueError("need 1 <= K < N")
-        # every coefficient-cache lookup hashes the context; hash the top row once
-        object.__setattr__(self, "_hash", hash((self.K, self.nu, self.q)))
+        super().__post_init__()
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def N(self) -> int:
-        return len(self.nu)
-
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(v - j for j, v in enumerate(self.nu, start=1))
+    # without this, @dataclass gives the subclass a hash over its fields,
+    # recomputed on every cache lookup; keep the one taken in __post_init__
+    __hash__ = DetContext.__hash__
 
     @cached_property
     def barycentric(self) -> tuple[tuple[int, int, int], ...]:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .linalg import (
     Rat,
-    RatLike,
     RatMatrix,
     clear_denominators,
     det,
@@ -37,7 +36,6 @@ from .patterns import Signature, check_signature, dim_product, support_box
 __all__ = [
     "PoleError",
     "DetContext",
-    "H_star",
     "A_coeff",
     "A_matrix",
     "coefficient_det",
@@ -66,8 +64,8 @@ class DetContext:
         object.__setattr__(self, "nu", check_signature(self.nu))
         if not 1 <= self.K < len(self.nu):
             raise ValueError("need 1 <= K < N")
-        # every coefficient-cache lookup hashes the context; hash the top row once
-        object.__setattr__(self, "_hash", hash((self.K, self.nu)))
+        # every coefficient-cache lookup hashes the context; hash its fields once
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,19 +83,6 @@ class DetContext:
         """Node products prod_{r != j} (a_j - a_r), computed once per context."""
         a = self.nodes()
         return tuple(math.prod(aj - ar for r, ar in enumerate(a) if r != j) for j, aj in enumerate(a))
-
-
-def H_star(z: RatLike, nu: Sequence[int]) -> Rat:
-    """prod_r (z + r) / (z + r - nu_r), the generating function of nu."""
-    nu = check_signature(nu)
-    z = Fraction(z)
-    out = Fraction(1)
-    for r, part in enumerate(nu, start=1):
-        denom = z + r - part
-        if denom == 0:
-            raise PoleError(f"z = {z} is the pole at position r = {r}")
-        out *= (z + r) / denom
-    return out
 
 
 def _poly_part(ctx: DetContext, i: int, y: int) -> int:

@@ -1,4 +1,4 @@
-"""Rational Schur polynomials of integer signatures, by three routes.
+"""Rational Schur polynomials of integer signatures, by two routes.
 
 Signatures may have negative parts, so these are Laurent-type Schur
 polynomials: evaluation points must be nonzero. The bialternant route needs
@@ -12,25 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Rat, RatLike, complete_sym, det, vandermonde_det
-from .patterns import (
-    _ascend,
-    _resolve_budget,
-    check_signature,
-    interlaces,
-)
+from .linalg import Rat, RatLike, det, vandermonde_det
+from .patterns import _ascend, _resolve_budget, check_signature
 
 __all__ = [
     "RepeatedPointsError",
-    "VIRTUAL",
     "schur_bialternant",
     "schur_combinatorial",
     "schur_value",
     "skew_schur_combinatorial",
-    "skew_schur_one_variable",
-    "skew_schur_one_variable_det",
-    "skew_schur_jacobi_trudi",
-    "xi_weight",
     "h_at_q_powers",
 ]
 
@@ -103,83 +93,6 @@ def schur_value(nu: Sequence[int], vals: Sequence[RatLike], budget: int | None =
     if len(set(u)) == len(u):
         return schur_bialternant(nu, u)
     return schur_combinatorial(nu, u, budget)
-
-
-def skew_schur_one_variable(nu: Sequence[int], kappa: Sequence[int], u: RatLike) -> Rat:
-    """One-step skew value: u^{|nu| - |kappa|} when the rows interlace, else 0."""
-    nu = check_signature(nu)
-    kappa = check_signature(kappa)
-    (u,) = _check_points([u])
-    if len(nu) != len(kappa) + 1:
-        raise ValueError("top row must be one longer than bottom row")
-    if not interlaces(kappa, nu):
-        return Fraction(0)
-    return u ** (sum(nu) - sum(kappa))
-
-
-VIRTUAL = object()  # placeholder particle for the shorter row
-
-
-def xi_weight(u: RatLike, x, y: int) -> Rat:
-    """One-particle transition weight: u^{y-x} for x <= y, u^y from the
-    virtual particle, else 0."""
-    (u,) = _check_points([u])
-    if x is VIRTUAL:
-        return u**y
-    if x <= y:
-        return u ** (y - x)
-    return Fraction(0)
-
-
-def skew_schur_one_variable_det(nu: Sequence[int], kappa: Sequence[int], u: RatLike) -> Rat:
-    """One-step skew value as u^N det[xi_u(x_i, y_j)] over shifted particle
-    positions x_i = kappa_i - i (plus one virtual particle) and y_j = nu_j - j."""
-    nu = check_signature(nu)
-    kappa = check_signature(kappa)
-    (u,) = _check_points([u])
-    n = len(nu)
-    if n != len(kappa) + 1:
-        raise ValueError("top row must be one longer than bottom row")
-    xs = [kappa[i] - (i + 1) for i in range(n - 1)] + [VIRTUAL]
-    ys = [nu[j] - (j + 1) for j in range(n)]
-    matrix = [[xi_weight(u, x, y) for y in ys] for x in xs]
-    return u**n * det(matrix)
-
-
-def skew_schur_jacobi_trudi(
-    nu: Sequence[int], kappa: Sequence[int], vals: Sequence[RatLike]
-) -> Rat:
-    """Dual Jacobi-Trudi determinant det[h_{nu_i - kappa_j + j - i}].
-
-    Stated for nonnegative parts, so both signatures are shifted up by a
-    common c >= 0 first and the result is divided by (prod vals)^c, the
-    exact scaling of a skew Schur polynomial under a simultaneous shift.
-    """
-    nu = check_signature(nu)
-    kappa = check_signature(kappa)
-    u = _check_points(vals)
-    n, k = len(nu), len(kappa)
-    if len(u) != n - k:
-        raise ValueError("need one evaluation point per added row")
-    if k > n:
-        raise ValueError("bottom row longer than top row")
-    shift = max(0, -(nu[-1] if nu else 0), -(kappa[-1] if kappa else 0))
-    nup = [x + shift for x in nu]
-    kap = [x + shift for x in kappa] + [0] * (n - k)
-    hs: dict[int, Rat] = {}
-
-    def h(m: int) -> Rat:
-        if m not in hs:
-            hs[m] = complete_sym(m, u)
-        return hs[m]
-
-    value = det([[h(nup[i] - kap[j] + (j + 1) - (i + 1)) for j in range(n)] for i in range(n)])
-    if shift:
-        scale = Fraction(1)
-        for v in u:
-            scale *= v
-        value /= scale**shift
-    return value
 
 
 def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:

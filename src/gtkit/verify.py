@@ -342,65 +342,45 @@ def suite_coherence(
     """Composition of link rows through an intermediate level equals the
     direct row, exactly; row normalization and nonnegativity are enforced
     by construction on every row built here."""
+    parts = f"parts [{-part_bound},{part_bound}]"
+    # (row builder, q, N, extra top rows, case label, describe suffix), in case order
+    sweeps = [
+        (lambda sig, k, _q: link_row(sig, k), None, n, samples, f"N={n} {parts}", "")
+        for n in range(3, max_n + 1)
+    ] + [
+        (q_link_row, q, n, q_samples, f"q-links N={n} {parts} q={q}", f" q={q}")
+        for n in range(3, q_max_n + 1)
+        for q in qs
+    ]
     out = []
     row_cache: dict = {}
 
-    def cached_row(sig, k):
-        key = (sig, k)
+    def cached_row(build, sig, k, q):
+        key = (sig, k, q)
         if key not in row_cache:
-            row_cache[key] = link_row(sig, k)
+            row_cache[key] = build(sig, k, q)
         return row_cache[key]
 
-    for n in range(3, max_n + 1):
-        case = _Case("coherence", f"N={n} parts [{-part_bound},{part_bound}]")
+    for build, q, n, extra, label, suffix in sweeps:
+        case = _Case("coherence", label)
         tops = list(all_signatures(n, -part_bound, part_bound))
-        tops += [check_signature(s) for s in samples if len(s) == n]
+        tops += [check_signature(s) for s in extra if len(s) == n]
         for nu in tops:
             for m in range(2, n):
-                row_m = cached_row(nu, m)
+                row_m = cached_row(build, nu, m, q)
                 for k in range(1, m):
-                    direct = cached_row(nu, k)
+                    direct = cached_row(build, nu, k, q)
                     composed: dict = {}
                     for mu, w in row_m.items():
-                        for kappa, v in cached_row(mu, k).items():
+                        for kappa, v in cached_row(build, mu, k, q).items():
                             composed[kappa] = composed.get(kappa, Fraction(0)) + w * v
                     composed = {kk: v for kk, v in composed.items() if v != 0}
                     case.expect(
                         composed,
                         dict(direct.items()),
-                        f"nu={_fmt(nu)} M={m} K={k}",
+                        f"nu={_fmt(nu)} M={m} K={k}{suffix}",
                     )
         out.append(case.result())
-
-    q_row_cache: dict = {}
-
-    def cached_q_row(sig, k, q):
-        key = (sig, k, q)
-        if key not in q_row_cache:
-            q_row_cache[key] = q_link_row(sig, k, q)
-        return q_row_cache[key]
-
-    for n in range(3, q_max_n + 1):
-        for q in qs:
-            case = _Case("coherence", f"q-links N={n} parts [{-part_bound},{part_bound}] q={q}")
-            tops = list(all_signatures(n, -part_bound, part_bound))
-            tops += [check_signature(s) for s in q_samples if len(s) == n]
-            for nu in tops:
-                for m in range(2, n):
-                    row_m = cached_q_row(nu, m, q)
-                    for k in range(1, m):
-                        direct = cached_q_row(nu, k, q)
-                        composed = {}
-                        for mu, w in row_m.items():
-                            for kappa, v in cached_q_row(mu, k, q).items():
-                                composed[kappa] = composed.get(kappa, Fraction(0)) + w * v
-                        composed = {kk: v for kk, v in composed.items() if v != 0}
-                        case.expect(
-                            composed,
-                            dict(direct.items()),
-                            f"nu={_fmt(nu)} M={m} K={k} q={q}",
-                        )
-            out.append(case.result())
     return out
 
 

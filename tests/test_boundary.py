@@ -7,7 +7,7 @@ import pytest
 from gtkit.boundary import (
     LaurentWindow,
     OmegaPoint,
-    R_kernel,
+    QuadratureError,
     a_coeff_quadrature,
     embed,
     link_infinity,
@@ -139,14 +139,6 @@ def test_embed_frozen_coordinates():
         embed(())
 
 
-def test_r_kernel_limit():
-    assert R_kernel(6, 1, 0, 1, F(2)) == F(80, 161)
-    gaps = [abs(float(R_kernel(n, 1, 0, 1, F(2))) - 0.5) for n in (6, 12, 24)]
-    assert gaps[0] > gaps[1] > gaps[2]  # approaches u^{-(x+i)} = 1/2
-    with pytest.raises(PoleError):
-        R_kernel(6, 1, 0, 1, 1)
-
-
 def test_a_coeff_quadrature_matches_exact():
     nu = (1,) + (0,) * 7
     got = a_coeff_quadrature(nu, 1, 1, 0)
@@ -154,6 +146,22 @@ def test_a_coeff_quadrature_matches_exact():
     assert abs(got - want) < 1e-8
     with pytest.raises(ValueError):
         a_coeff_quadrature((1, 0, 0), 1, 1, 1)  # needs N > K + x + 1
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+def test_quadrature_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        phi_coeffs(BETA, 0, 1, mode="numeric", tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        a_coeff_quadrature((1,) + (0,) * 7, 1, 1, 0, tolerance=tolerance)
+
+
+def test_quadrature_that_does_not_settle_raises_quadrature_error():
+    # 64 points give one mean and nothing to compare it with
+    with pytest.raises(QuadratureError, match="did not converge"):
+        phi_coeffs(BETA, 0, 1, mode="numeric", max_points=64)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        a_coeff_quadrature((1,) + (0,) * 7, 1, 1, 0, max_points=64)
 
 
 def test_uat_gap_frozen_values():

@@ -202,6 +202,34 @@ def test_bench_reports_enumeration_work_under_timing(capsys):
     assert refused["N"] == 20 and refused["consumed"] == 0 and refused["bound"] > 300_000
 
 
+def test_bench_with_no_n_is_not_applicable(capsys):
+    code, lines, _ = run(capsys, "bench", "--n", "")
+    assert code == 0
+    assert len(lines) == 1  # the summary line alone
+    assert lines[0]["status"] == "not-applicable"
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "boundary"), ("uat", "--kappa", "0", "--family", "zero", "--n", "6", "--mode", "numeric")],
+)
+def test_tolerance_that_is_not_positive_and_finite_is_an_argparse_error(capsys, argv, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tolerance", tolerance])
+    assert exc.value.code == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_quadrature_that_does_not_converge_exits_2(capsys):
+    code, lines, err = run(capsys, "verify", "boundary", "--tolerance", "1e-300")
+    assert code == 2
+    assert not lines
+    error = json.loads(err)  # one JSON line, no traceback
+    assert error["error"] == "QuadratureError"
+    assert "did not converge" in error["detail"]
+
+
 def test_csv_output(capsys):
     code = main(["--csv", "link", "1,0", "--level", "1"])
     out = capsys.readouterr().out.splitlines()

@@ -12,9 +12,7 @@ from gtkit.reldim import (
     A_coeff,
     A_matrix,
     DetContext,
-    H_star,
     LinkRow,
-    PoleError,
     _cleared_column,
     bo_coefficient,
     bo_transform,
@@ -35,13 +33,6 @@ def test_context_validation():
         DetContext(0, (2, 1, 0))
     with pytest.raises(ValueError):
         DetContext(1, (0, 1))
-
-
-def test_h_star_values():
-    assert H_star(1, (1, 0)) == 2
-    assert H_star(-1, (1, 0)) == 0  # zero of the z+1 factor
-    with pytest.raises(PoleError):
-        H_star(0, (1, 0))  # z + 1 - nu_1 vanishes
 
 
 def test_a_coeff_frozen_value():

@@ -14,9 +14,6 @@ from gtkit.schur import (
     schur_combinatorial,
     schur_value,
     skew_schur_combinatorial,
-    skew_schur_jacobi_trudi,
-    skew_schur_one_variable,
-    skew_schur_one_variable_det,
 )
 
 signatures = st.lists(st.integers(-2, 2), min_size=0, max_size=3).map(
@@ -55,44 +52,11 @@ def test_bialternant_matches_combinatorial(nu, data):
     assert schur_bialternant(nu, u) == schur_combinatorial(nu, u)
 
 
-@settings(max_examples=60, deadline=None)
-@given(signatures, st.data())
-def test_jacobi_trudi_matches_combinatorial(nu, data):
-    kappa = data.draw(
-        st.lists(st.integers(-2, 2), min_size=0, max_size=len(nu)).map(
-            lambda xs: tuple(sorted(xs, reverse=True))
-        )
-    )
-    u = data.draw(
-        st.lists(points, min_size=len(nu) - len(kappa), max_size=len(nu) - len(kappa))
-    )
-    want = skew_schur_combinatorial(nu, kappa, u)
-    assert skew_schur_jacobi_trudi(nu, kappa, u) == want
-
-
-def test_skew_one_variable_routes_agree():
-    u = F(3, 2)
-    for nu in [(2, 1, 0), (2, 0, -1), (1, 1, 1)]:
-        for a in range(-2, 3):
-            for b in range(-2, a + 1):
-                kappa = (a, b)
-                closed = skew_schur_one_variable(nu, kappa, u)
-                assert skew_schur_one_variable_det(nu, kappa, u) == closed
-                assert closed == skew_schur_combinatorial(nu, kappa, (u,))
-
-
-def test_skew_one_variable_values():
-    assert skew_schur_one_variable((2, 0), (1,), F(2)) == 2  # 2^{2-1}
-    assert skew_schur_one_variable((2, 0), (3,), F(2)) == 0  # no interlacing
-    with pytest.raises(ValueError):
-        skew_schur_one_variable((2, 1, 0), (1,), F(2))
-
-
 def test_branching_over_one_row():
     # adding one evaluation point sums the one-step weights over middle rows
     nu, u, t = (2, 1, 0), (F(2), F(3)), F(5)
     total = sum(
-        skew_schur_one_variable(nu, (a, b), t) * schur_combinatorial((a, b), u)
+        skew_schur_combinatorial(nu, (a, b), (t,)) * schur_combinatorial((a, b), u)
         for a in range(0, 3)
         for b in range(0, a + 1)
     )
