@@ -18,7 +18,7 @@ from .boundary import (
     phi_signature,
     uat_gap,
 )
-from .linalg import Rat, RatMatrix, det
+from .linalg import Rat, det
 from .patterns import (
     DEFAULT_BUDGET,
     Budget,
@@ -83,7 +83,6 @@ from .schur import (
     h_at_q_powers,
     schur_bialternant,
     schur_combinatorial,
-    schur_value,
     skew_schur_combinatorial,
 )
 from .verify import SUITES, CaseResult, bench_table, run_suite, uat_table

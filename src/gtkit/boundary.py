@@ -16,8 +16,6 @@ exact mode.
 
 from __future__ import annotations
 
-import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Rat, RatMatrix, poly_coeff, poly_divmod, poly_eval, poly_mul
+from .linalg import Rat, det, poly_coeff, poly_divmod, poly_eval, poly_mul
 from .patterns import check_signature, dim_product
 from .reldim import DetContext, PoleError, rel_dim_ratio
 
@@ -76,40 +74,6 @@ class OmegaPoint:
         if b_plus + b_minus > 1:
             raise ValueError("beta_plus[0] + beta_minus[0] must be <= 1")
 
-    @property
-    def delta_plus(self) -> Rat:
-        return self.gamma_plus + sum(self.alpha_plus) + sum(self.beta_plus)
-
-    @property
-    def delta_minus(self) -> Rat:
-        return self.gamma_minus + sum(self.alpha_minus) + sum(self.beta_minus)
-
-    def to_json(self) -> str:
-        def enc(v):
-            return str(Fraction(v))
-
-        payload = {
-            "alpha_plus": [enc(v) for v in self.alpha_plus],
-            "beta_plus": [enc(v) for v in self.beta_plus],
-            "alpha_minus": [enc(v) for v in self.alpha_minus],
-            "beta_minus": [enc(v) for v in self.beta_minus],
-            "gamma_plus": enc(self.gamma_plus),
-            "gamma_minus": enc(self.gamma_minus),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OmegaPoint":
-        data = json.loads(text)
-        return cls(
-            alpha_plus=tuple(Fraction(v) for v in data.get("alpha_plus", [])),
-            beta_plus=tuple(Fraction(v) for v in data.get("beta_plus", [])),
-            alpha_minus=tuple(Fraction(v) for v in data.get("alpha_minus", [])),
-            beta_minus=tuple(Fraction(v) for v in data.get("beta_minus", [])),
-            gamma_plus=Fraction(data.get("gamma_plus", 0)),
-            gamma_minus=Fraction(data.get("gamma_minus", 0)),
-        )
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -119,37 +83,29 @@ def phi_eval(omega: OmegaPoint, u):
     """Phi(u; omega). Exact for rational u when both drifts vanish; complex
     or float input switches to floating point."""
     exact = isinstance(u, (int, Fraction)) and omega.gamma_plus == 0 and omega.gamma_minus == 0
-    if exact:
-        u = Fraction(u)
-        if u == 0:
-            raise PoleError("u = 0 is an essential singularity direction")
-        out = Fraction(1)
-    else:
-        u = complex(u)
-        if u == 0:
-            raise PoleError("u = 0 is an essential singularity direction")
-        out = cmath.exp(
-            complex(omega.gamma_plus) * (u - 1) + complex(omega.gamma_minus) * (1 / u - 1)
-        )
+    u = Fraction(u) if exact else complex(u)
+    if u == 0:
+        raise PoleError("u = 0 is an essential singularity direction")
+    if not exact:
+        # a float pole or overflow raises an ArithmeticError, not a nan
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return complex(_phi_complex(omega, u))
+    out = Fraction(1)
     for b in omega.beta_plus:
-        out *= 1 + _cast(b, exact) * (u - 1)
+        out *= 1 + b * (u - 1)
     for b in omega.beta_minus:
-        out *= 1 + _cast(b, exact) * (1 / u - 1)
+        out *= 1 + b * (1 / u - 1)
     for a in omega.alpha_plus:
-        denom = 1 - _cast(a, exact) * (u - 1)
-        if exact and denom == 0:
+        denom = 1 - a * (u - 1)
+        if denom == 0:
             raise PoleError(f"u = {u} is the pole of the alpha_plus = {a} factor")
         out /= denom
     for a in omega.alpha_minus:
-        denom = 1 - _cast(a, exact) * (1 / u - 1)
-        if exact and denom == 0:
+        denom = 1 - a * (1 / u - 1)
+        if denom == 0:
             raise PoleError(f"u = {u} is the pole of the alpha_minus = {a} factor")
         out /= denom
     return out
-
-
-def _cast(v: Rat, exact: bool):
-    return v if exact else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +243,7 @@ def phi_coeffs(
 
 
 def _phi_complex(omega: OmegaPoint, us: np.ndarray) -> np.ndarray:
+    """Phi in floating point at each of the complex points `us` (or at one)."""
     out = np.exp(
         float(omega.gamma_plus) * (us - 1) + float(omega.gamma_minus) * (1 / us - 1)
     )
@@ -317,7 +274,7 @@ def phi_signature(
     window = phi_coeffs(omega, lo, hi, mode=mode, tolerance=tolerance)
     entries = [[window[sig[i] - (i + 1) + (j + 1)] for j in range(n)] for i in range(n)]
     if mode == "exact":
-        return RatMatrix(entries).det()
+        return det(entries)
     return float(np.linalg.det(np.array(entries, dtype=float)))
 
 

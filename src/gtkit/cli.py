@@ -45,18 +45,6 @@ class RunReport:
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(asdict(self), indent=indent)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            inputs=data["inputs"],
-            results=data["results"],
-            status=data["status"],
-            timing=data["timing"],
-            ignored_bounds=data.get("ignored_bounds", []),
-        )
-
 
 def _enc(value):
     """JSON-safe encoding: exact rationals become 'p/q' strings."""
@@ -104,6 +92,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list:
     try:
         return [int(p) for p in text.split(",") if p.strip() != ""]
@@ -139,11 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite against the oracles")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--part-bound", type=int, dest="part_bound")
+    p.add_argument("--part-bound", type=_nonnegative, dest="part_bound")
     p.add_argument("--q", type=_rational, action="append", dest="qs", metavar="p/r")
     p.add_argument("--tolerance", type=_tolerance)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_nonnegative)
 
     p = sub.add_parser("uat", help="finite-vs-boundary approximation gaps")
     p.add_argument("--kappa", type=_sig, required=True)
@@ -155,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="determinant vs enumeration timing")
     p.add_argument("--n", type=_int_list, required=True, metavar="N1,N2,...")
     p.add_argument("--level", type=int, default=2, metavar="K")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_nonnegative)
     return parser
 
 
@@ -208,27 +206,19 @@ def _cache_stats(command: str, before: dict) -> dict:
     }
 
 
-def _cmd_link(args) -> RunReport:
-    report = RunReport("link", {"nu": format_signature(args.nu), "level": args.level})
-    before = _cache_counts("link")
-    row = link_row(args.nu, args.level)
+def _cmd_row(args) -> RunReport:
+    """`link` or `qlink`: one row's weights, then their exact sum."""
+    inputs = {"nu": format_signature(args.nu), "level": args.level}
+    if args.command == "qlink":
+        inputs["q"] = str(args.q)
+    report = RunReport(args.command, inputs)
+    before = _cache_counts(args.command)
+    if args.command == "qlink":
+        row = q_link_row(args.nu, args.level, args.q)
+    else:
+        row = link_row(args.nu, args.level)
     # under `timing`, so the entries and digests stay comparable across runs
-    report.timing["stats"] = _cache_stats("link", before)
-    for kappa, weight in row.items():
-        report.results.append(_entry(format_signature(kappa), weight))
-    report.results.append(_entry("row_sum", row.total))
-    report.status = "pass"
-    return report
-
-
-def _cmd_qlink(args) -> RunReport:
-    report = RunReport(
-        "qlink",
-        {"nu": format_signature(args.nu), "level": args.level, "q": str(args.q)},
-    )
-    before = _cache_counts("qlink")
-    row = q_link_row(args.nu, args.level, args.q)
-    report.timing["stats"] = _cache_stats("qlink", before)
+    report.timing["stats"] = _cache_stats(args.command, before)
     for kappa, weight in row.items():
         report.results.append(_entry(format_signature(kappa), weight))
     report.results.append(_entry("row_sum", row.total))
@@ -333,8 +323,8 @@ def _cmd_bench(args) -> RunReport:
 _COMMANDS = {
     "dim": _cmd_dim,
     "rdim": _cmd_rdim,
-    "link": _cmd_link,
-    "qlink": _cmd_qlink,
+    "link": _cmd_row,
+    "qlink": _cmd_row,
     "verify": _cmd_verify,
     "uat": _cmd_uat,
     "bench": _cmd_bench,
@@ -345,12 +335,9 @@ _COMMANDS = {
 # emission
 
 
-def _emit(report: RunReport, use_csv: bool, out_path: str | None, stream, err_stream) -> None:
+def _emit(report: RunReport, use_csv: bool, stream, err_stream) -> None:
     """Entries, then the summary line, on `stream`; with `use_csv` the entries
     form a CSV table there and the summary line goes to `err_stream`."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(report.to_json(indent=2) + "\n")
     summary = {
         "command": report.command,
         "inputs": report.inputs,
@@ -397,7 +384,15 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(err).__name__, "detail": str(err)}), file=sys.stderr)
         return 2
     report.timing = {"total_seconds": round(time.perf_counter() - t0, 3), **report.timing}
-    _emit(report, args.csv, args.out, sys.stdout, sys.stderr)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report.to_json(indent=2) + "\n")
+        except OSError as err:
+            error = {"error": type(err).__name__, "detail": f"cannot write --out file: {err}"}
+            print(json.dumps(error), file=sys.stderr)
+            return 2
+    _emit(report, args.csv, sys.stdout, sys.stderr)
     return 0 if report.status in (None, "pass", "not-applicable") else 1
 
 

@@ -18,7 +18,6 @@ RatLike = Union[Fraction, int, str]
 
 __all__ = [
     "Rat",
-    "RatMatrix",
     "det",
     "clear_denominators",
     "prefix_cofactors",
@@ -41,7 +40,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# determinants and matrices
+# determinants
 
 
 def det(rows: Sequence[Sequence[RatLike]]) -> Rat:
@@ -114,44 +113,6 @@ def prefix_cofactors(columns: Sequence[Sequence[Rat]]) -> tuple[tuple[int, ...],
     return tuple(cofactors), den
 
 
-class RatMatrix:
-    """Rectangular matrix of exact rationals with bounds-checked access."""
-
-    def __init__(self, rows: Sequence[Sequence[RatLike]]):
-        entries = [tuple(Fraction(x) for x in row) for row in rows]
-        if entries:
-            width = len(entries[0])
-            if any(len(r) != width for r in entries):
-                raise ValueError("matrix rows must all have the same length")
-        self._rows: tuple[tuple[Rat, ...], ...] = tuple(entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if not self._rows:
-            return (0, 0)
-        return (len(self._rows), len(self._rows[0]))
-
-    @property
-    def rows(self) -> tuple[tuple[Rat, ...], ...]:
-        return self._rows
-
-    def __getitem__(self, key: tuple[int, int]) -> Rat:
-        i, j = key
-        nr, nc = self.shape
-        if not (0 <= i < nr and 0 <= j < nc):
-            raise IndexError(f"index ({i}, {j}) outside {nr}x{nc} matrix")
-        return self._rows[i][j]
-
-    def det(self) -> Rat:
-        return det(self._rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[list(map(str, r)) for r in self._rows]})"
-
-
 # ---------------------------------------------------------------------------
 # factorial-type products and symmetric functions
 
@@ -221,8 +182,9 @@ def vandermonde_det(nodes: Sequence[RatLike]) -> Rat:
     return out
 
 
-def vandermonde_inverse(nodes: Sequence[RatLike]) -> RatMatrix:
-    """Exact inverse of [a_i^{N-j}] via signed elementary symmetric minors.
+def vandermonde_inverse(nodes: Sequence[RatLike]) -> tuple[tuple[Rat, ...], ...]:
+    """Exact inverse of [a_i^{N-j}] via signed elementary symmetric minors,
+    as a tuple of rows.
 
     Row i, column j (1-based): (-1)^{i-1} e_{i-1}(nodes without a_j)
     divided by prod_{r != j} (a_j - a_r). Columns are intrinsic to node
@@ -240,7 +202,7 @@ def vandermonde_inverse(nodes: Sequence[RatLike]) -> RatMatrix:
             denom *= a[j] - r
         e = _elementary_row(others, n - 1)
         cols.append([(-1) ** i * e[i] / denom for i in range(n)])
-    return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

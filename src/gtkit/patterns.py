@@ -86,6 +86,8 @@ class Budget:
     __slots__ = ("limit", "remaining", "bound")
 
     def __init__(self, units: int):
+        if units < 0:
+            raise ValueError(f"work budget must be at least 0 units, got {units}")
         self.limit = units
         self.remaining = units
         self.bound: int | None = None
@@ -288,15 +290,13 @@ def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget
     return sum(1 for _ in enumerate_trapezoids(kappa, nu, budget))
 
 
-def _descend_counts(
-    lam: Signature, level: int, to_level: int, budget: Budget, table: dict, weight: int
-) -> None:
+def _descend_counts(lam: Signature, level: int, to_level: int, budget: Budget, table: dict) -> None:
     if level == to_level:
-        table[lam] = table.get(lam, 0) + weight
+        table[lam] = table.get(lam, 0) + 1
         return
     m = level - 1
     if m == 0:
-        table[()] = table.get((), 0) + weight
+        table[()] = table.get((), 0) + 1
         return
     budget_consume = budget.consume
     lo = [lam[i + 1] for i in range(m)]
@@ -306,7 +306,7 @@ def _descend_counts(
     def rec(i: int) -> None:
         if i == m:
             budget_consume(m)
-            _descend_counts(tuple(row), m, to_level, budget, table, weight)
+            _descend_counts(tuple(row), m, to_level, budget, table)
             return
         for v in range(lo[i], hi[i] + 1):
             row[i] = v
@@ -352,7 +352,7 @@ def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None)
     b = _resolve_budget(budget)
     b.preflight(rel_dim_table_bound(nu, K))
     table: dict = {}
-    _descend_counts(nu, len(nu), K, b, table, 1)
+    _descend_counts(nu, len(nu), K, b, table)
     return table
 
 
@@ -370,7 +370,7 @@ def dim_oracle(nu: Sequence[int], budget: int | Budget | None = None) -> int:
     b = _resolve_budget(budget)
     b.preflight(_triangular_bound(nu))
     table: dict = {}
-    _descend_counts(nu, len(nu), 1, b, table, 1)
+    _descend_counts(nu, len(nu), 1, b, table)
     return sum(table.values())
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .linalg import Rat, RatLike, RatMatrix, vandermonde_inverse
+from .linalg import Rat, RatLike, det, vandermonde_inverse
 from .patterns import (
     Signature,
     _q_diff_product,
@@ -140,7 +140,7 @@ def q_rel_dim_ratio(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
 # general point subsets via inverse Vandermonde
 
 @lru_cache(maxsize=64)
-def _q_nodes_inverse(nu: Signature, q: Rat) -> RatMatrix:
+def _q_nodes_inverse(nu: Signature, q: Rat) -> tuple[tuple[Rat, ...], ...]:
     return vandermonde_inverse([q ** (v - j) for j, v in enumerate(nu, start=1)])
 
 
@@ -155,7 +155,7 @@ def psi_T(ctx: QDetContext, tspec: TSpec, i: int, x: int) -> Rat:
     for j, aj in enumerate(ctx.nodes()):
         h = h_at_q_powers(aj - x, tspec.T, ctx.q)
         if h:
-            total += h * inv[i - 1, j]
+            total += h * inv[i - 1][j]
     return total
 
 
@@ -179,10 +179,8 @@ def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat
         for b in range(a + 1, len(t)):
             v_den *= q ** t[a] - q ** t[b]
     sp = tspec.S_prime
-    matrix = RatMatrix(
-        [[psi_T(ctx, tspec, sp[i], kappa[j] - (j + 1)) for j in range(k)] for i in range(k)]
-    )
-    return prefactor * v_num / v_den * matrix.det()
+    matrix = [[psi_T(ctx, tspec, sp[i], kappa[j] - (j + 1)) for j in range(k)] for i in range(k)]
+    return prefactor * v_num / v_den * det(matrix)
 
 
 def general_q_projection(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat:

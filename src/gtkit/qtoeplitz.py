@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .linalg import Rat, RatLike, RatMatrix, poly_add, poly_eval, poly_from_roots, poly_mul, poly_scale
+from .linalg import Rat, RatLike, det, poly_add, poly_eval, poly_mul, poly_scale
 from .patterns import check_q, check_signature
 
 __all__ = [
@@ -100,27 +100,19 @@ def _residue_sum(num_poly, den_exponents: Sequence[int], max_exponent: int, q: R
     return total
 
 
+def _qpoch_poly(exponents: Iterable[int], q: Rat) -> tuple:
+    """prod_{s in exponents} (1 - z q^s) as a polynomial in z."""
+    out: tuple = (Fraction(1),)
+    for s in exponents:
+        out = poly_mul(out, (Fraction(1), -(q**s)))
+    return out
+
+
 def _reduced_ratio(s0: int, n: BoundarySeq, q: Rat) -> tuple[tuple, list]:
     """(z q^{s0}; q)_inf / (z; q | n)_inf as (numerator poly, denominator
     exponent list); the infinite tails cancel against each other."""
     ts = n.tail_start
-    den = n.head_pole_exponents()
-    if s0 >= ts:
-        den = den + list(range(ts, s0))
-        num: tuple = (Fraction(1),)
-    else:
-        num = poly_from_roots([])  # 1
-        for e in range(s0, ts):
-            num = poly_mul(num, (Fraction(1), -(q**e)))
-    return num, den
-
-
-def _finite_qpoch_poly(shift: int, count: int, q: Rat) -> tuple:
-    """(z q^shift; q)_count as a polynomial in z."""
-    out: tuple = (Fraction(1),)
-    for s in range(count):
-        out = poly_mul(out, (Fraction(1), -(q ** (shift + s))))
-    return out
+    return _qpoch_poly(range(s0, ts), q), n.head_pole_exponents() + list(range(ts, s0))
 
 
 def qA_infinity(x: int, K: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
@@ -131,7 +123,7 @@ def qA_infinity(x: int, K: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
     if not 1 <= i <= K:
         raise ValueError("coefficient index out of range")
     num, den = _reduced_ratio(x + K + 1, n, q)
-    num = poly_mul(num, _finite_qpoch_poly(0, K - i, q))
+    num = poly_mul(num, _qpoch_poly(range(K - i), q))
     return q ** (x + K) * _residue_sum(num, den, x + K, q)
 
 
@@ -142,13 +134,7 @@ def q_ratio_infinity(kappa: Sequence[int], K: int, n: BoundarySeq, q: RatLike) -
     if len(kappa) != K:
         raise ValueError("bottom row must have length K")
     q = check_q(q)
-    matrix = RatMatrix(
-        [
-            [qA_infinity(kappa[j] - (j + 1), K, i, n, q) for j in range(K)]
-            for i in range(1, K + 1)
-        ]
-    )
-    return matrix.det()
+    return det([[qA_infinity(kappa[j] - (j + 1), K, i, n, q) for j in range(K)] for i in range(1, K + 1)])
 
 
 def B_entry(x: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
@@ -159,7 +145,7 @@ def B_entry(x: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
     if i < 1:
         raise ValueError("column index starts at 1")
     num, den = _reduced_ratio(x, n, q)
-    num = poly_mul(num, _finite_qpoch_poly(0, i - 1, q))
+    num = poly_mul(num, _qpoch_poly(range(i - 1), q))
     exp2 = (x - i + 1) * (x + i - 2)
     if exp2 % 2:
         raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
@@ -214,23 +200,19 @@ class GeneratingCheck:
     nonzero_beyond: tuple
 
 
-def b_generating_check(n: BoundarySeq, q: RatLike, extra: int = 3) -> GeneratingCheck:
+def b_generating_check(n: BoundarySeq, q: RatLike) -> GeneratingCheck:
     """Check sum_l B(l+1, 1) prod_{i<l}(q^{-i} - z) = (z; q)_inf / (z; q|n)_inf.
 
     Needs n_1 >= 0, which makes the right side the polynomial
     prod over s in {0..tail_start-1} minus the head exponents of (1 - z q^s),
     of degree equal to the tail constant. Also verifies that B(l+1, 1)
-    vanishes for l in tail+1 .. tail+extra.
+    vanishes for l in tail+1 .. tail+3.
     """
     q = check_q(q)
     if n.value(1) < 0:
         raise ValueError("generating identity needs n_1 >= 0")
-    ts = n.tail_start
     head = set(n.head_pole_exponents())
-    rhs: tuple = (Fraction(1),)
-    for s in range(ts):
-        if s not in head:
-            rhs = poly_mul(rhs, (Fraction(1), -(q**s)))
+    rhs = _qpoch_poly([s for s in range(n.tail_start) if s not in head], q)
     coeffs = [B_entry(l + 1, 1, n, q) for l in range(n.tail + 1)]
     lhs = basis_from_coeffs(coeffs, q)
     first_mismatch = None
@@ -241,9 +223,7 @@ def b_generating_check(n: BoundarySeq, q: RatLike, extra: int = 3) -> Generating
         if a != b:
             first_mismatch = k
             break
-    beyond = tuple(
-        l for l in range(n.tail + 1, n.tail + 1 + extra) if B_entry(l + 1, 1, n, q) != 0
-    )
+    beyond = tuple(l for l in range(n.tail + 1, n.tail + 4) if B_entry(l + 1, 1, n, q) != 0)
     ok = first_mismatch is None and not beyond
     return GeneratingCheck(ok, lhs, rhs, first_mismatch, beyond)
 

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .linalg import (
     Rat,
-    RatMatrix,
     clear_denominators,
     det,
     pochhammer,
@@ -115,15 +114,13 @@ def A_coeff(ctx: DetContext, i: int, x: int) -> Rat:
     return (n - k) * total
 
 
-def A_matrix(ctx: DetContext, kappa: Sequence[int]) -> RatMatrix:
-    """The K x K matrix [A_i(kappa_j - j)]; its det() is the per-kappa oracle
-    for rel_dim_ratio."""
+def A_matrix(ctx: DetContext, kappa: Sequence[int]) -> list[list[Rat]]:
+    """The rows of the K x K matrix [A_i(kappa_j - j)]; its det is the
+    per-kappa oracle for rel_dim_ratio."""
     kappa = check_signature(kappa)
     if len(kappa) != ctx.K:
         raise ValueError("bottom row must have length K")
-    return RatMatrix(
-        [[A_coeff(ctx, i, kappa[j - 1] - j) for j in range(1, ctx.K + 1)] for i in range(1, ctx.K + 1)]
-    )
+    return [[A_coeff(ctx, i, kappa[j - 1] - j) for j in range(1, ctx.K + 1)] for i in range(1, ctx.K + 1)]
 
 
 @lru_cache(maxsize=64)
@@ -172,7 +169,7 @@ def rel_dim_ratio(ctx: DetContext, kappa: Sequence[int]) -> Rat:
 # first determinantal route: inverse Vandermonde at the particle positions
 
 @lru_cache(maxsize=64)
-def _nodes_inverse(nu: Signature) -> RatMatrix:
+def _nodes_inverse(nu: Signature) -> tuple[tuple[Rat, ...], ...]:
     return vandermonde_inverse(tuple(v - j for j, v in enumerate(nu, start=1)))
 
 
@@ -188,7 +185,7 @@ def psi_coeff(ctx: DetContext, i: int, x: int) -> Rat:
     for j, aj in enumerate(ctx.nodes()):
         if aj < x:
             break
-        total += pochhammer(aj - x + 1, n - k - 1) * inv[i - 1, j] / fact
+        total += pochhammer(aj - x + 1, n - k - 1) * inv[i - 1][j] / fact
     return total
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "RepeatedPointsError",
     "schur_bialternant",
     "schur_combinatorial",
-    "schur_value",
     "skew_schur_combinatorial",
     "h_at_q_powers",
 ]
@@ -85,14 +84,6 @@ def skew_schur_combinatorial(
 
 def schur_combinatorial(nu: Sequence[int], vals: Sequence[RatLike], budget: int | None = None) -> Rat:
     return skew_schur_combinatorial(nu, (), vals, budget)
-
-
-def schur_value(nu: Sequence[int], vals: Sequence[RatLike], budget: int | None = None) -> Rat:
-    """Dispatch: bialternant at distinct points, combinatorial otherwise."""
-    u = _check_points(vals)
-    if len(set(u)) == len(u):
-        return schur_bialternant(nu, u)
-    return schur_combinatorial(nu, u, budget)
 
 
 def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:

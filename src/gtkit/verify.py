@@ -11,6 +11,7 @@ as a printable counterexample.
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 import time
 from collections import Counter
@@ -55,7 +56,7 @@ from .qtoeplitz import (
     qtoeplitz_solve,
 )
 from .reldim import A_coeff, DetContext, bo_coefficient, bo_transform, link_row, rel_dim_ratio
-from .schur import schur_bialternant, schur_value
+from .schur import schur_bialternant
 
 __all__ = [
     "CaseResult",
@@ -158,12 +159,12 @@ def suite_q1_oracle(max_n: int = 5, part_bound: int = 2, budget: int | None = No
     return out
 
 
-def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2, max_k: int = 4) -> list[CaseResult]:
+def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult]:
     """Polynomial-division route vs residue-sum route for every coefficient
     the counting sweep can request, plus exact biorthogonality."""
     out = []
     for n in range(2, max_n + 1):
-        for k in range(1, min(n, max_k + 1)):
+        for k in range(1, n):
             case = _Case("bo-equivalence", f"N={n} K={k} coefficients")
             for nu in all_signatures(n, -part_bound, part_bound):
                 ctx = DetContext(k, nu)
@@ -176,7 +177,7 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2, max_k: int = 4) ->
                         )
             out.append(case.result())
         case = _Case("bo-equivalence", f"N={n} biorthogonality")
-        for k in range(1, min(n, max_k + 1)):
+        for k in range(1, n):
             for i in range(1, k + 1):
                 for p in range(1, k + 1):
                     case.expect(
@@ -229,11 +230,10 @@ def suite_general_t(
             denom = {q: schur_bialternant(nu, [q**e for e in range(n)]) for q in qs}
             for k in range(1, n):
                 boxes = [(kappa, _skew_profile(kappa, nu, budget)) for kappa in support_box(nu, k)]
-                for t_set in _subsets(n, n - k):
-                    specs = {q: TSpec(n, k, t_set) for q in qs}
+                for t_set in itertools.combinations(range(n), n - k):
+                    tspec = TSpec(n, k, t_set)
                     for q in qs:
                         ctx = QDetContext(k, nu, q)
-                        tspec = specs[q]
                         points_t = [q**t for t in t_set]
                         mass = Fraction(0)
                         for kappa, profile in boxes:
@@ -252,12 +252,6 @@ def suite_general_t(
                         )
         out.append(case.result())
     return out
-
-
-def _subsets(n: int, size: int):
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(n), size)]
 
 
 def suite_q_oracle(
@@ -295,21 +289,16 @@ def suite_q_oracle(
     return out
 
 
-def suite_q_to_1(
-    ks: Sequence[int] = (1, 2, 3),
-    xs: Sequence[int] = (-1, 0, 1),
-    factor_lo: float = 5.0,
-    factor_hi: float = 20.0,
-) -> list[CaseResult]:
+def suite_q_to_1() -> list[CaseResult]:
     """First-order q -> 1 degeneration: the gap to the plain coefficient
     shrinks by a bounded factor per decade of 1 - q."""
     out = []
     for k, nu in ((1, (2, 1, 0)), (2, (2, 1, 1, 0))):
         case = _Case("q-to-1", f"K={k} nu={_fmt(nu)}")
         for i in range(1, k + 1):
-            for x in xs:
+            for x in (-1, 0, 1):
                 gaps = []
-                for kk in ks:
+                for kk in (1, 2, 3):
                     scale = 10**kk
                     q = Fraction(scale - 1, scale)
                     got, want = q_to_1_check(k, nu, i, x, q)
@@ -320,8 +309,8 @@ def suite_q_to_1(
                 for a, b in zip(gaps, gaps[1:]):
                     factor = a / b
                     case.check(
-                        factor_lo <= factor <= factor_hi,
-                        f"i={i} x={x}: shrink factor {factor:.2f} outside [{factor_lo}, {factor_hi}] (gaps {gaps})",
+                        5.0 <= factor <= 20.0,
+                        f"i={i} x={x}: shrink factor {factor:.2f} outside [5.0, 20.0] (gaps {gaps})",
                     )
         out.append(case.result())
     return out
@@ -331,25 +320,28 @@ def suite_q_to_1(
 # link coherence
 
 
+# Top rows swept beside the bounded-part ones, and the largest N of the
+# q-link sweep.
+_COHERENCE_SAMPLES = ((2, 1, 0, -1, -2), (2, 2, 1, 0, -1))
+_Q_COHERENCE_SAMPLES = ((2, 1, 0, -1),)
+_Q_COHERENCE_MAX_N = 4
+
+
 def suite_coherence(
-    max_n: int = 5,
-    part_bound: int = 1,
-    q_max_n: int = 4,
-    qs: Sequence[Rat] = (Fraction(1, 2),),
-    samples: Sequence[Sequence[int]] = ((2, 1, 0, -1, -2), (2, 2, 1, 0, -1)),
-    q_samples: Sequence[Sequence[int]] = ((2, 1, 0, -1),),
+    max_n: int = 5, part_bound: int = 1, qs: Sequence[Rat] = (Fraction(1, 2),)
 ) -> list[CaseResult]:
     """Composition of link rows through an intermediate level equals the
     direct row, exactly; row normalization and nonnegativity are enforced
-    by construction on every row built here."""
+    by construction on every row built here. The q-link sweep covers
+    N = 3 .. min(max_n, 4)."""
     parts = f"parts [{-part_bound},{part_bound}]"
     # (row builder, q, N, extra top rows, case label, describe suffix), in case order
     sweeps = [
-        (lambda sig, k, _q: link_row(sig, k), None, n, samples, f"N={n} {parts}", "")
+        (lambda sig, k, _q: link_row(sig, k), None, n, _COHERENCE_SAMPLES, f"N={n} {parts}", "")
         for n in range(3, max_n + 1)
     ] + [
-        (q_link_row, q, n, q_samples, f"q-links N={n} {parts} q={q}", f" q={q}")
-        for n in range(3, q_max_n + 1)
+        (q_link_row, q, n, _Q_COHERENCE_SAMPLES, f"q-links N={n} {parts} q={q}", f" q={q}")
+        for n in range(3, min(max_n, _Q_COHERENCE_MAX_N) + 1)
         for q in qs
     ]
     out = []
@@ -389,6 +381,7 @@ def suite_coherence(
 
 
 _SEQ_NAMES = ("0", "1", "0;2")
+_MAX_XI = 6  # the (x, i) grid of the solver and recurrence checks is 1.._MAX_XI
 
 
 def _stabilizing_top(n_seq: BoundarySeq, n: int) -> tuple:
@@ -399,13 +392,7 @@ def _stabilizing_top(n_seq: BoundarySeq, n: int) -> tuple:
     return check_signature(tuple(reversed(vals)))
 
 
-def suite_qtoeplitz(
-    qs: Sequence[Rat] = DEFAULT_QS,
-    seqs: Sequence[str] = _SEQ_NAMES,
-    max_xi: int = 6,
-    conv_ns: Sequence[int] = (6, 10, 14),
-    seed: int = 0,
-) -> list[CaseResult]:
+def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseResult]:
     """The q-Toeplitz identities, exactly: extraction roundtrip, generating
     identity, three-term relation, two-term recurrence, level-independence,
     closed-form solver, and the boundary convergence experiment."""
@@ -427,13 +414,13 @@ def suite_qtoeplitz(
                 case.expect(coeff_extract(phi, l, q), c, f"roundtrip c[{l}] of {coeffs}")
             for l in range(len(coeffs), len(coeffs) + 3):
                 case.expect(coeff_extract(phi, l, q), Fraction(0), f"roundtrip tail c[{l}]")
-            fill = _recurrence_fill(coeffs, q, max_xi)
-            for x in range(1, max_xi + 1):
-                for i in range(1, max_xi + 1):
+            fill = _recurrence_fill(coeffs, q, _MAX_XI)
+            for x in range(1, _MAX_XI + 1):
+                for i in range(1, _MAX_XI + 1):
                     case.expect(qtoeplitz_solve(coeffs, q, x, i), fill[(x, i)], f"solver d({x},{i})")
         out.append(case.result())
 
-    for text in seqs:
+    for text in _SEQ_NAMES:
         n_seq = BoundarySeq.parse(text)
         for q in qs:
             case = _Case("qtoeplitz", f"n={n_seq.format()} q={q}")
@@ -451,8 +438,8 @@ def suite_qtoeplitz(
                             x, k, i, n_seq, q
                         ) * (q**i - q**-x)
                         case.expect(lhs, rhs, f"three-term K={k} i={i} x={x}")
-            for x in range(1, max_xi + 1):
-                for i in range(1, max_xi):
+            for x in range(1, _MAX_XI + 1):
+                for i in range(1, _MAX_XI):
                     lhs = B_entry(x, i + 1, n_seq, q)
                     rhs = (Fraction(0) if x == 1 else B_entry(x - 1, i, n_seq, q)) + (
                         q ** (1 - i) - q ** (1 - x)
@@ -469,7 +456,7 @@ def suite_qtoeplitz(
             gaps = []
             kappa = (n_seq.tail + 1, n_seq.value(1))
             target = q_ratio_infinity(kappa, 2, n_seq, q)
-            for n in conv_ns:
+            for n in (6, 10, 14):
                 nu = _stabilizing_top(n_seq, n)
                 finite = q_rel_dim_ratio(QDetContext(2, nu, q), kappa)
                 gaps.append(abs(float(finite - target)))
@@ -498,12 +485,7 @@ def _recurrence_fill(coeffs: Sequence[Rat], q: Fraction, size: int) -> dict:
 # boundary of the q = 1 chain
 
 
-def suite_boundary(
-    part_bound: int = 2,
-    tolerance: float = 1e-10,
-    seed: int = 0,
-    uat_ns: Sequence[int] = (6, 10, 14),
-) -> list[CaseResult]:
+def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0) -> list[CaseResult]:
     """Boundary generating functions: exact vs quadrature coefficients,
     normalization, link rows, minor nonnegativity, compatibility with finite
     links, the product expansion, and the unit-circle kernel spot-check."""
@@ -570,7 +552,7 @@ def suite_boundary(
         rhs = Fraction(0)
         for n1 in range(lo, hi + 1):
             for n2 in range(lo, n1 + 1):
-                rhs += phi_signature(om, (n1, n2)) * schur_value((n1, n2), (u1, u2))
+                rhs += phi_signature(om, (n1, n2)) * schur_bialternant((n1, n2), (u1, u2))
         case.check(
             abs(float(lhs - rhs)) < 1e-9,
             f"residual {float(lhs - rhs)} at u=({u1},{u2})",
@@ -579,7 +561,7 @@ def suite_boundary(
 
     case = _Case("boundary", "approximation gap decreasing")
     for kappa in ((0,), (1,)):
-        gaps = [float(uat_gap((n // 2,) + (0,) * (n - 1), kappa)) for n in uat_ns]
+        gaps = [float(uat_gap((n // 2,) + (0,) * (n - 1), kappa)) for n in (6, 10, 14)]
         case.check(
             all(a > b for a, b in zip(gaps, gaps[1:])),
             f"kappa={_fmt(kappa)}: gaps {gaps} not decreasing",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtkit.cli import RunReport, main
+from gtkit.cli import main
 
 
 def run(capsys, *argv):
@@ -278,9 +278,45 @@ def test_out_file_roundtrip(tmp_path, capsys):
     code = main(["--out", str(path), "link", "2,1,0", "--level", "2"])
     capsys.readouterr()
     assert code == 0
-    report = RunReport.from_json(path.read_text())
-    assert report.command == "link"
-    assert report.status == "pass"
-    weights = {e["label"]: e["value"] for e in report.results}
+    report = json.loads(path.read_text())
+    assert report["command"] == "link"
+    assert report["status"] == "pass"
+    weights = {e["label"]: e["value"] for e in report["results"]}
     assert weights["row_sum"] == "1"
-    assert report.timing["total_seconds"] >= 0
+    assert report["timing"]["total_seconds"] >= 0
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, lines, err = run(capsys, "--out", str(path), "dim", "2,1,0")
+    assert code == 2
+    assert not lines
+    (error,) = [json.loads(line) for line in err.splitlines()]
+    assert str(path) in error["detail"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--n", "5", "--budget", "-3"),
+        ("verify", "q1-oracle", "--max-n", "3", "--budget", "-1"),
+        ("verify", "q1-oracle", "--max-n", "3", "--part-bound", "-1"),
+    ],
+)
+def test_negative_budget_or_part_bound_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 0" in captured.err
+
+
+def test_negative_budget_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GTKIT_BUDGET", "-3")
+    code, lines, err = run(capsys, "bench", "--n", "5")
+    assert code == 2
+    assert not lines
+    assert json.loads(err)["error"] == "ValueError"

@@ -117,6 +117,14 @@ def test_budget_exceeded():
         dim_oracle((40, 20, 0, -20, -40), budget=100)
 
 
+def test_budget_below_zero_is_refused():
+    with pytest.raises(ValueError, match="at least 0"):
+        Budget(-1)
+    with pytest.raises(ValueError, match="at least 0"):
+        dim_oracle((1, 0), budget=-3)
+    assert Budget(0).remaining == 0
+
+
 # ---------------------------------------------------------------------------
 # the budget pre-flight
 

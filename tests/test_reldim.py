@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import wide_rows
 
+from gtkit.linalg import det
 from gtkit.patterns import all_signatures, dim_product, rel_dim_oracle, support_box
 from gtkit.reldim import (
     A_coeff,
@@ -70,7 +71,7 @@ def test_three_routes_agree():
 def test_a_matrix_shape_and_validation():
     ctx = DetContext(2, (2, 1, 0))
     m = A_matrix(ctx, (1, 0))
-    assert m.shape == (2, 2)
+    assert len(m) == 2 and all(len(row) == 2 for row in m)
     with pytest.raises(ValueError):
         A_matrix(ctx, (1,))
 
@@ -161,14 +162,14 @@ def test_ratio_equals_matrix_det_small_sweep():
             for k in range(1, n):
                 ctx = DetContext(k, nu)
                 for kappa in support_box(nu, k):
-                    assert rel_dim_ratio(ctx, kappa) == A_matrix(ctx, kappa).det(), (nu, kappa)
+                    assert rel_dim_ratio(ctx, kappa) == det(A_matrix(ctx, kappa)), (nu, kappa)
 
 
 def _assert_row_entries_equal_oracle(nu, k):
     ctx = DetContext(k, nu)
     row = link_row(nu, k)
     for kappa in support_box(nu, k):
-        assert row[kappa] == dim_product(kappa) * A_matrix(ctx, kappa).det(), kappa
+        assert row[kappa] == dim_product(kappa) * det(A_matrix(ctx, kappa)), kappa
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,7 +194,7 @@ def test_ratio_equals_matrix_det_wide_rows(case):
     nu, k, kappas = case
     ctx = DetContext(k, nu)
     for kappa in kappas:
-        assert rel_dim_ratio(ctx, kappa) == A_matrix(ctx, kappa).det(), kappa
+        assert rel_dim_ratio(ctx, kappa) == det(A_matrix(ctx, kappa)), kappa
 
 
 @settings(max_examples=30, deadline=None)

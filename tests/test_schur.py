@@ -12,7 +12,6 @@ from gtkit.schur import (
     h_at_q_powers,
     schur_bialternant,
     schur_combinatorial,
-    schur_value,
     skew_schur_combinatorial,
 )
 
@@ -39,8 +38,6 @@ def test_point_validation():
         schur_bialternant((1, 0), (F(2), F(0)))
     with pytest.raises(ValueError):
         schur_bialternant((1, 0), (F(2),))
-    # dispatcher falls back to the pattern walk on repeated points
-    assert schur_value((1, 0), (F(2), F(2))) == 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """The verification harness itself: case plumbing and experiment tables."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,18 @@ def test_suite_registry():
     }
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+def test_suites_take_only_cli_bounds():
+    # a suite parameter no `gtkit verify` flag can set is dead weight
+    cli_bounds = {"max_n", "part_bound", "qs", "tolerance", "seed", "budget"}
+    for name, suite in SUITES.items():
+        assert set(inspect.signature(suite).parameters) <= cli_bounds, name
+
+
+def test_coherence_max_n_bounds_the_q_link_sweep():
+    labels = [r.case for r in run_suite("coherence", max_n=3)]
+    assert labels == ["N=3 parts [-1,1]", "q-links N=3 parts [-1,1] q=1/2"]
 
 
 def test_run_suite_filters_bounds():
