@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from . import qlinks, reldim
+from . import qlinks, reldim, schur
 from .patterns import BudgetExceededError, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, link_row, rel_dim_ratio
@@ -184,18 +186,27 @@ def _cmd_rdim(args) -> RunReport:
     return report
 
 
-# The coefficient caches behind each row command, captured at import so that
+# The caches behind the row and verify commands, captured at import so that
 # wrappers later bound over the module names (as perfbench's tracer does)
 # leave the counts read here untouched.
 _DET_CACHES = {"prefix_cofactors": reldim._prefix_cofactors, "cleared_column": reldim._cleared_column}
-_ROW_CACHES = {
+_CACHES = {
     "link": {"A_coeff": reldim.A_coeff, **_DET_CACHES},
     "qlink": {"qA_coeff": qlinks.qA_coeff, **_DET_CACHES},
+    "verify": {
+        "A_coeff": reldim.A_coeff,
+        "qA_coeff": qlinks.qA_coeff,
+        "psi_T": qlinks.psi_T,
+        **_DET_CACHES,
+        "bo_numerator": reldim._bo_numerator,
+        "general_q_scalar": qlinks._general_q_scalar,
+        "h_at_q_powers": schur._h_at_q_powers,
+    },
 }
 
 
 def _cache_counts(command: str) -> dict:
-    return {name: fn.cache_info() for name, fn in _ROW_CACHES[command].items()}
+    return {name: fn.cache_info() for name, fn in _CACHES[command].items()}
 
 
 def _cache_stats(command: str, before: dict) -> dict:
@@ -246,7 +257,9 @@ def _cmd_verify(args) -> RunReport:
         )
         report.status = "pass"
         return report
+    before = _cache_counts("verify")
     results = run_suite(args.suite, **bounds)
+    report.timing["stats"] = _cache_stats("verify", before)
     for case in results:
         report.results.append(
             _entry(
@@ -364,9 +377,36 @@ def _emit(report: RunReport, use_csv: bool, stream, err_stream) -> None:
     print(json.dumps(summary), file=stream)
 
 
+def _out_path_error(path: str) -> OSError | None:
+    """The error that opening `path` for writing would raise, found without
+    opening it: the parent must be a writable directory and the path must not
+    be a directory. Checked before the command runs, so a bad path costs no
+    work and an existing file is left as it is when the command fails."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code, kind = errno.EISDIR, IsADirectoryError
+    elif not os.path.exists(parent):
+        code, kind = errno.ENOENT, FileNotFoundError
+    elif not os.path.isdir(parent):
+        code, kind = errno.ENOTDIR, NotADirectoryError
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        code, kind = errno.EACCES, PermissionError
+    else:
+        return None
+    return kind(code, os.strerror(code), path)
+
+
+def _out_error(err: OSError) -> int:
+    error = {"error": type(err).__name__, "detail": f"cannot write --out file: {err}"}
+    print(json.dumps(error), file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.out and (err := _out_path_error(args.out)) is not None:
+        return _out_error(err)
     t0 = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
@@ -389,9 +429,7 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(report.to_json(indent=2) + "\n")
         except OSError as err:
-            error = {"error": type(err).__name__, "detail": f"cannot write --out file: {err}"}
-            print(json.dumps(error), file=sys.stderr)
-            return 2
+            return _out_error(err)
     _emit(report, args.csv, sys.stdout, sys.stderr)
     return 0 if report.status in (None, "pass", "not-applicable") else 1
 

@@ -82,14 +82,10 @@ class TSpec:
             raise ValueError("T must be a subset of {0, ..., N-1}")
         if len(t) != self.N - self.K:
             raise ValueError("|T| must equal N - K")
-
-    @property
-    def S(self) -> tuple:
-        return tuple(s for s in range(self.N) if s not in set(self.T))
-
-    @property
-    def S_prime(self) -> tuple:
-        return tuple(sorted(self.N - s for s in self.S))
+        # plain attributes, not fields, so eq, hash and repr see only N, K, T
+        s = tuple(sorted(set(range(self.N)) - set(t)))
+        object.__setattr__(self, "S", s)
+        object.__setattr__(self, "S_prime", tuple(sorted(self.N - v for v in s)))
 
 
 def _q_poly_part(ctx: QDetContext, i: int, node: int) -> tuple[int, int, int]:
@@ -159,28 +155,36 @@ def psi_T(ctx: QDetContext, tspec: TSpec, i: int, x: int) -> Rat:
     return total
 
 
-def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat:
-    """s_{nu/kappa}(q^T) / s_nu(1, q, ..., q^{N-1}) as
-    (-q^N)^{sum T} V(q^{-1..-N}) / V(q^T) det[psi^T_{s'_i}(kappa_j - j)]."""
-    kappa = check_signature(kappa)
-    n, k, q = ctx.N, ctx.K, ctx.q
-    if tspec.N != n or tspec.K != k:
-        raise ValueError("subset spec does not match context")
-    if len(kappa) != k:
-        raise ValueError("bottom row must have length K")
-    prefactor = (-(q**n)) ** sum(tspec.T)
+# One scalar per (N, q, T): a default general-T sweep needs 44, and the
+# sweep cycles through the 28 of N = 4 (60 at --max-n 5) for every top row,
+# so 128 entries keep that cycle cached.
+@lru_cache(maxsize=128)
+def _general_q_scalar(n: int, q: Rat, t: tuple) -> Rat:
+    """(-q^N)^{sum T} V(q^{-1..-N}) / V(q^T), in plain Fraction arithmetic."""
+    prefactor = (-(q**n)) ** sum(t)
     v_num = Fraction(1)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             v_num *= q**-a - q**-b
     v_den = Fraction(1)
-    t = tspec.T
     for a in range(len(t)):
         for b in range(a + 1, len(t)):
             v_den *= q ** t[a] - q ** t[b]
+    return prefactor * v_num / v_den
+
+
+def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat:
+    """s_{nu/kappa}(q^T) / s_nu(1, q, ..., q^{N-1}) as
+    (-q^N)^{sum T} V(q^{-1..-N}) / V(q^T) det[psi^T_{s'_i}(kappa_j - j)]."""
+    kappa = check_signature(kappa)
+    n, k = ctx.N, ctx.K
+    if tspec.N != n or tspec.K != k:
+        raise ValueError("subset spec does not match context")
+    if len(kappa) != k:
+        raise ValueError("bottom row must have length K")
     sp = tspec.S_prime
     matrix = [[psi_T(ctx, tspec, sp[i], kappa[j] - (j + 1)) for j in range(k)] for i in range(k)]
-    return prefactor * v_num / v_den * det(matrix)
+    return _general_q_scalar(n, ctx.q, tspec.T) * det(matrix)
 
 
 def general_q_projection(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat:

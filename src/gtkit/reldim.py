@@ -25,7 +25,6 @@ from .linalg import (
     pochhammer,
     prefix_cofactors,
     poly_div_exact,
-    poly_eval,
     poly_mul,
     poly_rising,
     vandermonde_inverse,
@@ -208,21 +207,35 @@ def rel_dim_ratio_first(ctx: DetContext, kappa: Sequence[int]) -> Rat:
 # biorthogonal route
 
 
+# A default bo-equivalence sweep builds 130 distinct numerators (one per
+# (N, K, i, x)); 256 entries hold them all, with room for --max-n 6.
+@lru_cache(maxsize=256)
+def _bo_numerator(n: int, k: int, i: int, x: int) -> tuple[int, ...]:
+    """Integer coefficients of (z+1-x)_{N-K-1} (z+1)_N / (z+i)_{N-K+1}, the
+    quotient taken by exact polynomial long division."""
+    numerator = poly_mul(
+        poly_rising(Fraction(1 - x), n - k - 1),
+        poly_div_exact(poly_rising(1, n), poly_rising(i, n - k + 1)),
+    )
+    if any(c.denominator != 1 for c in numerator):
+        raise ArithmeticError(f"numerator of bo_coefficient at N={n} K={k} i={i} x={x} is not integral")
+    return tuple(c.numerator for c in numerator)
+
+
 def bo_coefficient(ctx: DetContext, i: int, x: int) -> Rat:
     """Expansion coefficient of the generating function of nu in the shifted
     rational basis attached to (i, x).
 
     Same pole set as A_coeff, but the polynomial part is produced by exact
     polynomial long division instead of index-range cancellation, so the two
-    routes are computationally independent.
+    routes are computationally independent. The numerator depends only on
+    (N, K, i, x) and is built once per key; it is evaluated at each node by
+    integer Horner.
     """
     if not 1 <= i <= ctx.K:
         raise ValueError("coefficient index out of range")
     n, k = ctx.N, ctx.K
-    numerator = poly_mul(
-        poly_rising(Fraction(1 - x), n - k - 1),
-        poly_div_exact(poly_rising(1, n), poly_rising(i, n - k + 1)),
-    )
+    numerator = _bo_numerator(n, k, i, x)
     nodes = ctx.nodes()
     total = Fraction(0)
     for j, aj in enumerate(nodes):
@@ -232,7 +245,10 @@ def bo_coefficient(ctx: DetContext, i: int, x: int) -> Rat:
         for r, ar in enumerate(nodes):
             if r != j:
                 denom *= aj - ar
-        total += poly_eval(numerator, Fraction(aj)) / denom
+        value = 0
+        for c in reversed(numerator):
+            value = value * aj + c
+        total += Fraction(value, denom)
     return (n - k) * total
 
 

@@ -10,6 +10,7 @@ determinantal identities are tested against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .linalg import Rat, RatLike, det, vandermonde_det
@@ -88,13 +89,24 @@ def schur_combinatorial(nu: Sequence[int], vals: Sequence[RatLike], budget: int 
 
 def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:
     """Closed form for h_m(q^{j_1}, ..., q^{j_l}) at distinct integer
-    exponents: sum_k q^{j_k m} / prod_{r != k} (1 - q^{j_r - j_k})."""
-    q = Fraction(q)
-    if q <= 0 or q == 1:
+    exponents: sum_k q^{j_k m} / prod_{r != k} (1 - q^{j_r - j_k}).
+
+    Validated on every call; the value comes from a cache keyed on
+    (m, exponents, q)."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    if q.numerator <= 0 or q.numerator == q.denominator:
         raise ValueError("q must be positive and distinct from 1")
-    js = [int(j) for j in exponents]
+    js = tuple(map(int, exponents))
     if len(set(js)) != len(js):
         raise ValueError("exponents must be distinct")
+    return _h_at_q_powers(m, js, q)
+
+
+# A default general-T sweep asks for 364 distinct (m, T, q); 1024 entries
+# hold them all, with room for wider sweeps.
+@lru_cache(maxsize=1024)
+def _h_at_q_powers(m: int, js: tuple[int, ...], q: Fraction) -> Rat:
     if m < 0:
         return Fraction(0)
     if not js:

@@ -224,16 +224,22 @@ def suite_general_t(
     oracle, all subsets T, with the projection mass identity alongside."""
     qs = tuple(Fraction(q) for q in qs)
     out = []
+    # s_kappa(q^S) of the mass check, per (kappa, q, S): it does not depend
+    # on the top row, so the rows of one sweep share a few hundred values
+    mass_weights: dict = {}
     for n in range(2, max_n + 1):
         case = _Case("general-T", f"N={n} parts [{-part_bound},{part_bound}] q={','.join(map(str, qs))}")
+        # one TSpec per (K, T), shared by every top row and q
+        tspecs = {k: [TSpec(n, k, t) for t in itertools.combinations(range(n), n - k)] for k in range(1, n)}
         for nu in all_signatures(n, -part_bound, part_bound):
             denom = {q: schur_bialternant(nu, [q**e for e in range(n)]) for q in qs}
             for k in range(1, n):
                 boxes = [(kappa, _skew_profile(kappa, nu, budget)) for kappa in support_box(nu, k)]
-                for t_set in itertools.combinations(range(n), n - k):
-                    tspec = TSpec(n, k, t_set)
+                ctxs = {q: QDetContext(k, nu, q) for q in qs}
+                for tspec in tspecs[k]:
+                    t_set = tspec.T
                     for q in qs:
-                        ctx = QDetContext(k, nu, q)
+                        ctx = ctxs[q]
                         points_t = [q**t for t in t_set]
                         mass = Fraction(0)
                         for kappa, profile in boxes:
@@ -244,7 +250,10 @@ def suite_general_t(
                                 oracle,
                                 f"nu={_fmt(nu)} K={k} T={t_set} q={q} kappa={_fmt(kappa)}",
                             )
-                            mass += schur_bialternant(kappa, [q**s for s in tspec.S]) * formula
+                            key = (kappa, q, tspec.S)
+                            if key not in mass_weights:
+                                mass_weights[key] = schur_bialternant(kappa, [q**s for s in tspec.S])
+                            mass += mass_weights[key] * formula
                         case.expect(
                             mass,
                             Fraction(1),
@@ -265,6 +274,7 @@ def suite_q_oracle(
     qs = tuple(Fraction(q) for q in qs)
     out = []
     for n in range(2, max_n + 1):
+        bottoms = {k: TSpec(n, k, tuple(range(n - k))) for k in range(1, n)}
         for q in qs:
             case = _Case("q-oracle", f"N={n} parts [{-part_bound},{part_bound}] q={q}")
             for nu in all_signatures(n, -part_bound, part_bound):
@@ -272,7 +282,6 @@ def suite_q_oracle(
                 case.expect(q_dim(nu, q), qdim_nu, f"nu={_fmt(nu)} triangular q-count")
                 for k in range(1, n):
                     ctx = QDetContext(k, nu, q)
-                    bottom = TSpec(n, k, tuple(range(n - k)))
                     for kappa in support_box(nu, k):
                         ratio = q_rel_dim_ratio(ctx, kappa)
                         case.expect(
@@ -282,7 +291,7 @@ def suite_q_oracle(
                         )
                         case.expect(
                             q_dim(kappa, q) * ratio,
-                            general_q_projection(ctx, bottom, kappa),
+                            general_q_projection(ctx, bottoms[k], kappa),
                             f"nu={_fmt(nu)} K={k} q={q} kappa={_fmt(kappa)} bottom-run reduction",
                         )
             out.append(case.result())

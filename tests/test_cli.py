@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import gtkit.cli
+from gtkit import reldim
 from gtkit.cli import main
 
 
@@ -286,15 +288,60 @@ def test_out_file_roundtrip(tmp_path, capsys):
     assert report["timing"]["total_seconds"] >= 0
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
-def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
-    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
-    code, lines, err = run(capsys, "--out", str(path), "dim", "2,1,0")
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory", "file-as-parent"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, where):
+    calls = []
+    monkeypatch.setattr(gtkit.cli, "run_suite", lambda *a, **k: calls.append(a) or [])
+    (tmp_path / "file").write_text("")
+    path = {
+        "missing-dir": tmp_path / "missing" / "x.json",
+        "a-directory": tmp_path,
+        "file-as-parent": tmp_path / "file" / "x.json",
+    }[where]
+    code, lines, err = run(capsys, "--out", str(path), "verify", "general-T")
     assert code == 2
+    assert calls == []  # refused before the suite ran
     assert not lines
     (error,) = [json.loads(line) for line in err.splitlines()]
+    assert error["detail"].startswith("cannot write --out file: ")
     assert str(path) in error["detail"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("rdim", "1,0", "1,0"), 2),
+        (("verify", "q1-oracle", "--max-n", "5", "--budget", "20"), 3),
+    ],
+)
+def test_failed_command_leaves_an_existing_out_file_alone(tmp_path, capsys, argv, exit_code):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    code, lines, _ = run(capsys, "--out", str(path), *argv)
+    assert code == exit_code
+    assert path.read_text() == "earlier report\n"
+
+
+def test_verify_reports_cache_stats_under_timing(capsys):
+    reldim._bo_numerator.cache_clear()  # cold, whatever ran before
+    code, lines, _ = run(capsys, "verify", "bo-equivalence", "--max-n", "3")
+    assert code == 0
+    stats = lines[-1]["timing"]["stats"]
+    assert set(stats) == {
+        "A_coeff",
+        "qA_coeff",
+        "psi_T",
+        "prefix_cofactors",
+        "cleared_column",
+        "bo_numerator",
+        "general_q_scalar",
+        "h_at_q_powers",
+    }
+    assert stats["bo_numerator"]["misses"] > 0
+    # one numerator per (N, K, i, x), shared by every top row
+    assert stats["bo_numerator"]["hits"] > stats["bo_numerator"]["misses"]
+    assert all("stats" not in e for e in lines[:-1])  # entries, and so digests, stay as they were
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """q-deformed determinantal counts against the q-weighted enumeration."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,11 @@ def test_tspec_validation():
     assert t.S == (2, 3)
     assert t.S_prime == (1, 2)  # N - s, sorted
     assert TSpec(4, 2, (3, 1)).T == (1, 3)
+    # S and S' are kept beside the fields, not as fields
+    assert [f.name for f in fields(TSpec)] == ["N", "K", "T"]
+    assert repr(TSpec(4, 2, (3, 1))) == "TSpec(N=4, K=2, T=(1, 3))"
+    assert TSpec(4, 2, (3, 1)) == TSpec(4, 2, (1, 3))
+    assert hash(TSpec(4, 2, (3, 1))) == hash(TSpec(4, 2, (1, 3)))
     with pytest.raises(ValueError):
         TSpec(4, 2, (0,))
     with pytest.raises(ValueError):
@@ -192,3 +198,22 @@ def test_integer_q_route_equals_oracles_at_wide_q(case, q):
     ctx = QDetContext(k, nu, q)
     for kappa in support_box(nu, k):
         assert q_rel_dim_ratio(ctx, kappa) * top == q_rel_dim_oracle(kappa, nu, q), (nu, k, kappa)
+
+
+@st.composite
+def subset_cases(draw):
+    """A top row with N <= 5, a level K, a random T of size N - K and
+    q = a/b with b <= 12."""
+    nu, k = draw(rows_with_level().filter(lambda case: case[1] is not None))
+    n = len(nu)
+    t = draw(st.permutations(range(n)))[: n - k]
+    return nu, k, t, draw(wide_qs(max_den=12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(subset_cases())
+def test_projection_mass_is_one_at_random_subsets(case):
+    nu, k, t, q = case
+    ctx = QDetContext(k, nu, q)
+    tspec = TSpec(len(nu), k, t)
+    assert sum(general_q_projection(ctx, tspec, kappa) for kappa in support_box(nu, k)) == 1

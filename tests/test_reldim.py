@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import wide_rows
+from strategies import top_rows, wide_rows
 
+from gtkit import reldim
 from gtkit.linalg import det
 from gtkit.patterns import all_signatures, dim_product, rel_dim_oracle, support_box
 from gtkit.reldim import (
@@ -208,3 +209,24 @@ def test_link_row_shift_invariance(nu, data):
     shifted = link_row(tuple(v + c for v in nu), k)
     want = {tuple(v + c for v in kappa): w for kappa, w in link_row(nu, k).items()}
     assert dict(shifted.items()) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(top_rows(max_n=7, bound=6).filter(lambda nu: len(nu) > 1))
+def test_bo_coefficient_equals_a_coeff_wide_rows(nu):
+    # the division route against the residue sum, past the [-2, 2] sweep
+    for k in range(1, len(nu)):
+        ctx = DetContext(k, nu)
+        for i in range(1, k + 1):
+            for x in range(nu[-1] - k, nu[0] + 1):
+                assert bo_coefficient(ctx, i, x) == A_coeff(ctx, i, x), (k, i, x)
+
+
+def test_bo_numerator_that_is_not_integral_raises(monkeypatch):
+    monkeypatch.setattr(reldim, "poly_mul", lambda p, q: (F(1, 2), F(1)))
+    reldim._bo_numerator.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not integral"):
+            bo_coefficient(DetContext(1, (2, 1, 0)), 1, 0)
+    finally:
+        reldim._bo_numerator.cache_clear()

@@ -71,7 +71,20 @@ def test_h_at_q_powers_matches_complete_sym():
 
 
 def test_h_at_q_powers_validation():
-    with pytest.raises(ValueError):
-        h_at_q_powers(2, (0, 0), F(1, 2))
-    with pytest.raises(ValueError):
-        h_at_q_powers(2, (0, 1), F(1))
+    # validated on every call, not only on the first one for a key
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            h_at_q_powers(2, (0, 0), F(1, 2))
+        with pytest.raises(ValueError):
+            h_at_q_powers(2, (0, 1), F(1))
+        with pytest.raises(ValueError):
+            h_at_q_powers(2, [0, 1], 1)
+
+
+def test_h_at_q_powers_takes_any_sequence_and_rational_q():
+    for m in range(-1, 6):
+        want = h_at_q_powers(m, (2, 0, -1), F(3))
+        assert h_at_q_powers(m, [2, 0, -1], F(3)) == want
+        assert h_at_q_powers(m, (2, 0, -1), 3) == want
+        assert h_at_q_powers(m, [2, 0, -1], 3) == want
+        assert h_at_q_powers(m, (2, 0, -1), F(1, 3)) == h_at_q_powers(m, [2, 0, -1], "1/3")
