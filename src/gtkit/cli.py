@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import qlinks, reldim, schur
 from .patterns import BudgetExceededError, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
-from .reldim import DetContext, link_row, rel_dim_ratio
+from .reldim import DetContext, LinkRow, link_row, rel_dim_ratio
 from .verify import SUITES, bench_table, ignored_bounds, run_suite, uat_table
 
 __all__ = ["RunReport", "main"]
@@ -44,8 +44,41 @@ class RunReport:
     timing: dict = field(default_factory=dict)
     ignored_bounds: list = field(default_factory=list)  # given to `verify`, not taken by its suite
 
+    def entries(self) -> list:
+        """The result entries, as dicts."""
+        return self.results
+
+    def entry_lines(self) -> str:
+        """The result entries as JSON lines, each ending in a newline."""
+        return "".join(json.dumps(entry) + "\n" for entry in self.results)
+
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(asdict(self), indent=indent)
+        return json.dumps({**asdict(self), "results": self.entries()}, indent=indent)
+
+
+# json.dumps(_entry(label, value)) of an exact entry whose label and value
+# need no JSON escaping, as signatures and "p/q" strings never do
+_EXACT_LINE = '{"label": "%s", "value": "%s", "mode": "exact", "tolerance": null}\n'
+
+
+class RowReport(RunReport):
+    """`link` or `qlink`: the entries are the row's weights, then its exact
+    sum, made from `row` when they are written (`results` stays empty)."""
+
+    def __init__(self, command: str, inputs: dict, row: LinkRow, timing: dict):
+        super().__init__(command, inputs, status="pass", timing=timing)
+        self.row = row
+
+    def _pairs(self):
+        for kappa, weight in self.row.items():
+            yield format_signature(kappa), weight
+        yield "row_sum", self.row.total
+
+    def entries(self) -> list:
+        return [_entry(label, value) for label, value in self._pairs()]
+
+    def entry_lines(self) -> str:
+        return "".join([_EXACT_LINE % pair for pair in self._pairs()])
 
 
 def _enc(value):
@@ -200,6 +233,7 @@ _CACHES = {
         **_DET_CACHES,
         "bo_numerator": reldim._bo_numerator,
         "general_q_scalar": qlinks._general_q_scalar,
+        "schur_weight": qlinks._schur_weight,
         "h_at_q_powers": schur._h_at_q_powers,
     },
 }
@@ -222,19 +256,13 @@ def _cmd_row(args) -> RunReport:
     inputs = {"nu": format_signature(args.nu), "level": args.level}
     if args.command == "qlink":
         inputs["q"] = str(args.q)
-    report = RunReport(args.command, inputs)
     before = _cache_counts(args.command)
     if args.command == "qlink":
         row = q_link_row(args.nu, args.level, args.q)
     else:
         row = link_row(args.nu, args.level)
     # under `timing`, so the entries and digests stay comparable across runs
-    report.timing["stats"] = _cache_stats(args.command, before)
-    for kappa, weight in row.items():
-        report.results.append(_entry(format_signature(kappa), weight))
-    report.results.append(_entry("row_sum", row.total))
-    report.status = "pass"
-    return report
+    return RowReport(args.command, inputs, row, {"stats": _cache_stats(args.command, before)})
 
 
 def _cmd_verify(args) -> RunReport:
@@ -360,20 +388,20 @@ def _emit(report: RunReport, use_csv: bool, stream, err_stream) -> None:
     if report.ignored_bounds:
         summary["ignored_bounds"] = report.ignored_bounds
     if use_csv:
+        entries = report.entries()
         keys: list = []
-        for entry in report.results:
+        for entry in entries:
             for key in entry:
                 if key not in keys:
                     keys.append(key)
         writer = csv.DictWriter(stream, fieldnames=keys)
         writer.writeheader()
-        for entry in report.results:
+        for entry in entries:
             # booleans in the JSON spelling, as the JSON lines write them
             writer.writerow({k: json.dumps(v) if isinstance(v, bool) else v for k, v in entry.items()})
         print(json.dumps(summary), file=err_stream)
         return
-    for entry in report.results:
-        print(json.dumps(entry), file=stream)
+    stream.write(report.entry_lines())
     print(json.dumps(summary), file=stream)
 
 

@@ -48,19 +48,28 @@ def det(rows: Sequence[Sequence[RatLike]]) -> Rat:
 
     Each row is first cleared of denominators, so the elimination runs on
     integers; its intermediate entries are minors of that integer matrix,
-    which keeps their growth polynomial, and every division is exact.
+    which keeps their growth polynomial, and every division is exact. A
+    matrix whose entries are all `int` (not `bool`) is already cleared and
+    skips that step. Sizes 1 and 2 use their closed forms.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return Fraction(1)
-    m = []
     den = 1
-    for row in rows:
-        ints, lcd = clear_denominators([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row])
-        m.append(ints)
-        den *= lcd
+    if all(type(x) is int for row in rows for x in row):
+        m = [list(row) for row in rows]
+    else:
+        m = []
+        for row in rows:
+            ints, lcd = clear_denominators([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row])
+            m.append(ints)
+            den *= lcd
+    if n == 1:
+        return Fraction(m[0][0], den)
+    if n == 2:
+        return Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0], den)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -87,30 +96,24 @@ def clear_denominators(values: Sequence[Rat]) -> tuple[list[int], int]:
     return [x.numerator * (lcd // x.denominator) for x in values], lcd
 
 
-def prefix_cofactors(columns: Sequence[Sequence[Rat]]) -> tuple[tuple[int, ...], int]:
-    """Cofactors along the last column of a K x K matrix whose first K-1
-    columns are given (each of length K), as integers over one common
-    denominator: returns (cofactors, den) with
+def prefix_cofactors(columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Cofactors along the last column of a K x K integer matrix whose first
+    K-1 columns are given (each of length K): returns cofactors with
 
-        det[columns | c] = sum_i cofactors[i] * c[i] / den
+        det[columns | c] = sum_i cofactors[i] * c[i]
 
-    for every last column c. Each column is cleared of denominators first,
-    so the (K-1)-minors are determinants of integer matrices.
+    for every last column c. A caller with rational columns clears each one
+    (`clear_denominators`) and divides the sum by the product of their
+    denominators.
     """
     k = len(columns) + 1
-    scaled = []
-    den = 1
-    for col in columns:
-        if len(col) != k:
-            raise ValueError("prefix columns must have length K")
-        ints, lcd = clear_denominators(col)
-        scaled.append(ints)
-        den *= lcd
+    if any(len(col) != k for col in columns):
+        raise ValueError("prefix columns must have length K")
     cofactors = []
     for i in range(k):
-        minor = det([[c[r] for c in scaled] for r in range(k) if r != i]).numerator
+        minor = det([[c[r] for c in columns] for r in range(k) if r != i]).numerator
         cofactors.append(minor if (i + k - 1) % 2 == 0 else -minor)
-    return tuple(cofactors), den
+    return tuple(cofactors)
 
 
 # ---------------------------------------------------------------------------

@@ -187,13 +187,23 @@ def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat
     return _general_q_scalar(n, ctx.q, tspec.T) * det(matrix)
 
 
+# One weight per (kappa, q, S), whatever the top row. q-oracle asks for one
+# per kappa of every top row, and for one (N, q) its keys cycle through the
+# bottom rows of the part bound: at most 55 at default bounds (160 in all),
+# so 64 entries hold that cycle. Entries outlive the suite, so the bound is
+# kept to the cycle; a wider sweep misses as if there were no cache.
+@lru_cache(maxsize=64)
+def _schur_weight(kappa: Signature, q: Rat, s: tuple) -> Rat:
+    """s_kappa(q^S) by the bialternant, in plain Fraction arithmetic."""
+    return schur_bialternant(kappa, [q**e for e in s])
+
+
 def general_q_projection(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat:
     """Probability weight s_kappa(q^S) s_{nu/kappa}(q^T) / s_nu(1..q^{N-1});
     sums to 1 over kappa and reduces to the q-link row for the bottom run
     T = {0, ..., N-K-1}."""
     kappa = check_signature(kappa)
-    points = [ctx.q**s for s in tspec.S]
-    return schur_bialternant(kappa, points) * general_q_ratio(ctx, tspec, kappa)
+    return _schur_weight(kappa, ctx.q, tspec.S) * general_q_ratio(ctx, tspec, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +217,9 @@ def q_link_row(nu: Sequence[int], K: int, q: RatLike) -> LinkRow:
     ctx = QDetContext(K, nu, Fraction(q))
     weights = {}
     for kappa in support_box(nu, K):
-        value = q_dim(kappa, ctx.q) * q_rel_dim_ratio(ctx, kappa)
-        if value != 0:
-            weights[kappa] = value
+        ratio = q_rel_dim_ratio(ctx, kappa)
+        if ratio:
+            weights[kappa] = ratio * q_dim(kappa, ctx.q)
     return LinkRow(nu, K, weights)
 
 

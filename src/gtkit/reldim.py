@@ -122,28 +122,32 @@ def A_matrix(ctx: DetContext, kappa: Sequence[int]) -> list[list[Rat]]:
     return [[A_coeff(ctx, i, kappa[j - 1] - j) for j in range(1, ctx.K + 1)] for i in range(1, ctx.K + 1)]
 
 
-@lru_cache(maxsize=64)
-def _prefix_cofactors(coeff: Callable, ctx, xs: tuple) -> tuple[tuple[int, ...], int]:
-    """Last-column cofactors of [coeff(ctx, i, x)] over the prefix columns xs.
-
-    Small on purpose: support_box yields kappa in lexicographic order, so
-    consecutive bottom rows share their prefix and only the latest few
-    prefixes are ever looked up again."""
-    k = ctx.K
-    return prefix_cofactors([[coeff(ctx, i, x) for i in range(1, k + 1)] for x in xs])
-
-
 # For each prefix, support_box walks the last part through every position of
 # the row, so the last columns are looked up in a cycle as long as the row
 # width nu_1 - nu_N + 1; an LRU cache smaller than that cycle would never
 # hit. 256 entries cover rows up to 256 positions wide; wider rows stay exact
-# and re-clear their last columns.
+# and re-clear their columns. The prefix columns are positions of the same
+# row, so they come from this cache too.
 @lru_cache(maxsize=256)
 def _cleared_column(coeff: Callable, ctx, x: int) -> tuple[tuple[int, ...], int]:
     """The column [coeff(ctx, i, x)]_{i=1..K} as integers over its least
     common denominator."""
     ints, lcd = clear_denominators([coeff(ctx, i, x) for i in range(1, ctx.K + 1)])
     return tuple(ints), lcd
+
+
+@lru_cache(maxsize=64)
+def _prefix_cofactors(coeff: Callable, ctx, xs: tuple) -> tuple[tuple[int, ...], int]:
+    """Last-column cofactors of [coeff(ctx, i, x)] over the prefix columns xs,
+    as integers over one common denominator: the minors are taken of the
+    integer columns _cleared_column holds, and the denominator is the
+    product of their least common denominators.
+
+    Small on purpose: support_box yields kappa in lexicographic order, so
+    consecutive bottom rows share their prefix and only the latest few
+    prefixes are ever looked up again."""
+    columns = [_cleared_column(coeff, ctx, x) for x in xs]
+    return prefix_cofactors([ints for ints, _ in columns]), math.prod(lcd for _, lcd in columns)
 
 
 def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
@@ -324,7 +328,7 @@ def link_row(nu: Sequence[int], K: int) -> LinkRow:
     ctx = DetContext(K, nu)
     weights = {}
     for kappa in support_box(nu, K):
-        value = dim_product(kappa) * rel_dim_ratio(ctx, kappa)
-        if value != 0:
-            weights[kappa] = value
+        ratio = rel_dim_ratio(ctx, kappa)
+        if ratio:
+            weights[kappa] = ratio * dim_product(kappa)
     return LinkRow(nu, K, weights)

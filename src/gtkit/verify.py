@@ -91,7 +91,10 @@ class CaseResult:
 
 
 class _Case:
-    """Accumulates comparisons for one parameter block."""
+    """Accumulates comparisons for one parameter block.
+
+    `describe` is called for the text of the first failing comparison only,
+    so passing comparisons format nothing."""
 
     def __init__(self, suite: str, label: str):
         self.suite = suite
@@ -100,16 +103,16 @@ class _Case:
         self.counterexample: str | None = None
         self.start = time.perf_counter()
 
-    def expect(self, got, want, describe: str) -> bool:
+    def expect(self, got, want, describe: Callable[[], str]) -> bool:
         self.checks += 1
         if got != want and self.counterexample is None:
-            self.counterexample = f"{describe}: got {got}, want {want}"
+            self.counterexample = f"{describe()}: got {got}, want {want}"
         return self.counterexample is None
 
-    def check(self, ok: bool, describe: str) -> bool:
+    def check(self, ok: bool, describe: Callable[[], str]) -> bool:
         self.checks += 1
         if not ok and self.counterexample is None:
-            self.counterexample = describe
+            self.counterexample = describe()
         return self.counterexample is None
 
     def result(self) -> CaseResult:
@@ -149,11 +152,11 @@ def suite_q1_oracle(max_n: int = 5, part_bound: int = 2, budget: int | None = No
                     case.expect(
                         formula,
                         table.get(kappa, 0),
-                        f"nu={_fmt(nu)} kappa={_fmt(kappa)}",
+                        lambda: f"nu={_fmt(nu)} kappa={_fmt(kappa)}",
                     )
                 case.check(
                     set(table) <= seen,
-                    f"nu={_fmt(nu)}: oracle support leaks outside the box",
+                    lambda: f"nu={_fmt(nu)}: oracle support leaks outside the box",
                 )
             out.append(case.result())
     return out
@@ -173,7 +176,7 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult
                         case.expect(
                             bo_coefficient(ctx, i, x),
                             A_coeff(ctx, i, x),
-                            f"nu={_fmt(nu)} i={i} x={x}",
+                            lambda: f"nu={_fmt(nu)} i={i} x={x}",
                         )
             out.append(case.result())
         case = _Case("bo-equivalence", f"N={n} biorthogonality")
@@ -183,7 +186,7 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult
                     case.expect(
                         bo_transform(n, k, i, p),
                         Fraction(1) if i == p else Fraction(0),
-                        f"K={k} i={i} p={p}",
+                        lambda: f"K={k} i={i} p={p}",
                     )
         out.append(case.result())
     return out
@@ -248,7 +251,7 @@ def suite_general_t(
                             case.expect(
                                 formula,
                                 oracle,
-                                f"nu={_fmt(nu)} K={k} T={t_set} q={q} kappa={_fmt(kappa)}",
+                                lambda: f"nu={_fmt(nu)} K={k} T={t_set} q={q} kappa={_fmt(kappa)}",
                             )
                             key = (kappa, q, tspec.S)
                             if key not in mass_weights:
@@ -257,7 +260,7 @@ def suite_general_t(
                         case.expect(
                             mass,
                             Fraction(1),
-                            f"nu={_fmt(nu)} K={k} T={t_set} q={q} projection mass",
+                            lambda: f"nu={_fmt(nu)} K={k} T={t_set} q={q} projection mass",
                         )
         out.append(case.result())
     return out
@@ -279,7 +282,7 @@ def suite_q_oracle(
             case = _Case("q-oracle", f"N={n} parts [{-part_bound},{part_bound}] q={q}")
             for nu in all_signatures(n, -part_bound, part_bound):
                 qdim_nu = q_dim_oracle(nu, q, budget=budget)
-                case.expect(q_dim(nu, q), qdim_nu, f"nu={_fmt(nu)} triangular q-count")
+                case.expect(q_dim(nu, q), qdim_nu, lambda: f"nu={_fmt(nu)} triangular q-count")
                 for k in range(1, n):
                     ctx = QDetContext(k, nu, q)
                     for kappa in support_box(nu, k):
@@ -287,12 +290,12 @@ def suite_q_oracle(
                         case.expect(
                             ratio * qdim_nu,
                             q_rel_dim_oracle(kappa, nu, q, budget=budget),
-                            f"nu={_fmt(nu)} K={k} q={q} kappa={_fmt(kappa)}",
+                            lambda: f"nu={_fmt(nu)} K={k} q={q} kappa={_fmt(kappa)}",
                         )
                         case.expect(
                             q_dim(kappa, q) * ratio,
                             general_q_projection(ctx, bottoms[k], kappa),
-                            f"nu={_fmt(nu)} K={k} q={q} kappa={_fmt(kappa)} bottom-run reduction",
+                            lambda: f"nu={_fmt(nu)} K={k} q={q} kappa={_fmt(kappa)} bottom-run reduction",
                         )
             out.append(case.result())
     return out
@@ -313,13 +316,13 @@ def suite_q_to_1() -> list[CaseResult]:
                     got, want = q_to_1_check(k, nu, i, x, q)
                     gaps.append(abs(float(got - want)))
                 if any(g == 0 for g in gaps):
-                    case.check(all(g == 0 for g in gaps), f"i={i} x={x}: gap hit zero at finite q")
+                    case.check(all(g == 0 for g in gaps), lambda: f"i={i} x={x}: gap hit zero at finite q")
                     continue
                 for a, b in zip(gaps, gaps[1:]):
                     factor = a / b
                     case.check(
                         5.0 <= factor <= 20.0,
-                        f"i={i} x={x}: shrink factor {factor:.2f} outside [5.0, 20.0] (gaps {gaps})",
+                        lambda: f"i={i} x={x}: shrink factor {factor:.2f} outside [5.0, 20.0] (gaps {gaps})",
                     )
         out.append(case.result())
     return out
@@ -379,7 +382,7 @@ def suite_coherence(
                     case.expect(
                         composed,
                         dict(direct.items()),
-                        f"nu={_fmt(nu)} M={m} K={k}{suffix}",
+                        lambda: f"nu={_fmt(nu)} M={m} K={k}{suffix}",
                     )
         out.append(case.result())
     return out
@@ -420,13 +423,13 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
         for coeffs in vectors:
             phi = basis_from_coeffs(coeffs, q)
             for l, c in enumerate(coeffs):
-                case.expect(coeff_extract(phi, l, q), c, f"roundtrip c[{l}] of {coeffs}")
+                case.expect(coeff_extract(phi, l, q), c, lambda: f"roundtrip c[{l}] of {coeffs}")
             for l in range(len(coeffs), len(coeffs) + 3):
-                case.expect(coeff_extract(phi, l, q), Fraction(0), f"roundtrip tail c[{l}]")
+                case.expect(coeff_extract(phi, l, q), Fraction(0), lambda: f"roundtrip tail c[{l}]")
             fill = _recurrence_fill(coeffs, q, _MAX_XI)
             for x in range(1, _MAX_XI + 1):
                 for i in range(1, _MAX_XI + 1):
-                    case.expect(qtoeplitz_solve(coeffs, q, x, i), fill[(x, i)], f"solver d({x},{i})")
+                    case.expect(qtoeplitz_solve(coeffs, q, x, i), fill[(x, i)], lambda: f"solver d({x},{i})")
         out.append(case.result())
 
     for text in _SEQ_NAMES:
@@ -436,7 +439,7 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
             gen = b_generating_check(n_seq, q)
             case.check(
                 gen.ok,
-                f"generating identity: first mismatch at degree {gen.first_mismatch}, "
+                lambda: f"generating identity: first mismatch at degree {gen.first_mismatch}, "
                 f"nonzero beyond tail at {gen.nonzero_beyond}",
             )
             for k in range(2, 5):
@@ -446,21 +449,21 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
                         rhs = qA_infinity(x - 1, k, i, n_seq, q) * q ** (1 - x) + qA_infinity(
                             x, k, i, n_seq, q
                         ) * (q**i - q**-x)
-                        case.expect(lhs, rhs, f"three-term K={k} i={i} x={x}")
+                        case.expect(lhs, rhs, lambda: f"three-term K={k} i={i} x={x}")
             for x in range(1, _MAX_XI + 1):
                 for i in range(1, _MAX_XI):
                     lhs = B_entry(x, i + 1, n_seq, q)
                     rhs = (Fraction(0) if x == 1 else B_entry(x - 1, i, n_seq, q)) + (
                         q ** (1 - i) - q ** (1 - x)
                     ) * B_entry(x, i, n_seq, q)
-                    case.expect(lhs, rhs, f"recurrence x={x} i={i}")
+                    case.expect(lhs, rhs, lambda: f"recurrence x={x} i={i}")
                 for i in range(1, 4):
                     base = B_entry(x, i, n_seq, q)
                     for k in range(i, i + 3):
                         case.expect(
                             B_entry_via_qA(x, i, n_seq, q, k),
                             base,
-                            f"level-independence x={x} i={i} K={k}",
+                            lambda: f"level-independence x={x} i={i} K={k}",
                         )
             gaps = []
             kappa = (n_seq.tail + 1, n_seq.value(1))
@@ -471,7 +474,7 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
                 gaps.append(abs(float(finite - target)))
             case.check(
                 all(a > b for a, b in zip(gaps, gaps[1:])),
-                f"boundary convergence not monotone: gaps {gaps}",
+                lambda: f"boundary convergence not monotone: gaps {gaps}",
             )
             out.append(case.result())
     return out
@@ -513,30 +516,30 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
     for n in range(-6, 9):
         case.check(
             abs(float(exact[n]) - numeric[n]) < 100 * tolerance,
-            f"phi_{n}: exact {float(exact[n])}, quadrature {numeric[n]}",
+            lambda: f"phi_{n}: exact {float(exact[n])}, quadrature {numeric[n]}",
         )
-    case.expect(phi_eval(mixed, 1), Fraction(1), "value at 1")
+    case.expect(phi_eval(mixed, 1), Fraction(1), lambda: "value at 1")
     out.append(case.result())
 
     case = _Case("boundary", "normalization and link rows")
     two_beta = OmegaPoint(beta_plus=(Fraction(1, 3), Fraction(1, 5)))
     window = phi_coeffs(two_beta, -1, 3)
-    case.expect(sum(window.coeffs.values()), Fraction(1), "coefficient sum, polynomial case")
+    case.expect(sum(window.coeffs.values()), Fraction(1), lambda: "coefficient sum, polynomial case")
     mass = Fraction(0)
     for kappa in all_signatures(2, 0, 2):
         v = link_infinity(two_beta, kappa)
-        case.check(v >= 0, f"negative boundary link at {_fmt(kappa)}")
+        case.check(v >= 0, lambda: f"negative boundary link at {_fmt(kappa)}")
         mass += v
-    case.expect(mass, Fraction(1), "level-2 link mass, polynomial case")
+    case.expect(mass, Fraction(1), lambda: "level-2 link mass, polynomial case")
     geo = OmegaPoint(alpha_plus=(Fraction(1, 3),))
     tail_mass = sum(link_infinity(geo, (k,)) for k in range(0, 25))
-    case.check(abs(float(tail_mass) - 1) < 1e-9, f"level-1 link mass {float(tail_mass)}")
+    case.check(abs(float(tail_mass) - 1) < 1e-9, lambda: f"level-1 link mass {float(tail_mass)}")
     out.append(case.result())
 
     case = _Case("boundary", "minor nonnegativity")
     for n in (1, 2, 3):
         for nu in all_signatures(n, -part_bound, part_bound):
-            case.check(phi_signature(mixed, nu) >= 0, f"phi_nu < 0 at nu={_fmt(nu)}")
+            case.check(phi_signature(mixed, nu) >= 0, lambda: f"phi_nu < 0 at nu={_fmt(nu)}")
     out.append(case.result())
 
     case = _Case("boundary", "compatibility with finite links")
@@ -548,7 +551,7 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
                 lam = link_infinity(two_beta, nu)
                 if lam != 0:
                     through += lam * link_row(nu, k)[kappa]
-            case.expect(through, direct, f"K={k} kappa={_fmt(kappa)}")
+            case.expect(through, direct, lambda: f"K={k} kappa={_fmt(kappa)}")
     out.append(case.result())
 
     case = _Case("boundary", "product expansion at sampled points")
@@ -564,7 +567,7 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
                 rhs += phi_signature(om, (n1, n2)) * schur_bialternant((n1, n2), (u1, u2))
         case.check(
             abs(float(lhs - rhs)) < 1e-9,
-            f"residual {float(lhs - rhs)} at u=({u1},{u2})",
+            lambda: f"residual {float(lhs - rhs)} at u=({u1},{u2})",
         )
     out.append(case.result())
 
@@ -573,9 +576,9 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
         gaps = [float(uat_gap((n // 2,) + (0,) * (n - 1), kappa)) for n in (6, 10, 14)]
         case.check(
             all(a > b for a, b in zip(gaps, gaps[1:])),
-            f"kappa={_fmt(kappa)}: gaps {gaps} not decreasing",
+            lambda: f"kappa={_fmt(kappa)}: gaps {gaps} not decreasing",
         )
-    case.expect(uat_gap((0,) * 6, (0,)), Fraction(0), "zero diagram gap")
+    case.expect(uat_gap((0,) * 6, (0,)), Fraction(0), lambda: "zero diagram gap")
     out.append(case.result())
 
     case = _Case("boundary", "unit-circle kernel quadrature")
@@ -584,7 +587,7 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
     for i, x in ((1, 0), (2, 1)):
         got = a_coeff_quadrature(nu12, 2, i, x, tolerance=tolerance)
         want = float(A_coeff(ctx, i, x))
-        case.check(abs(got - want) < 1e-8, f"(i,x)=({i},{x}): quadrature {got}, exact {want}")
+        case.check(abs(got - want) < 1e-8, lambda: f"(i,x)=({i},{x}): quadrature {got}, exact {want}")
     out.append(case.result())
     return out
 

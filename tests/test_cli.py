@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 
 import gtkit.cli
-from gtkit import reldim
-from gtkit.cli import main
+from gtkit import qlinks, reldim
+from gtkit.cli import _entry, main
+from gtkit.patterns import format_signature, parse_signature
+from gtkit.qlinks import q_link_row
+from gtkit.reldim import link_row
 
 
 def run(capsys, *argv):
@@ -68,6 +71,59 @@ def test_row_sum_is_the_exact_sum_of_the_emitted_entries(capsys, argv):
     *entries, row_sum = lines[:-1]
     assert row_sum["label"] == "row_sum"
     assert Fraction(row_sum["value"]) == sum(Fraction(e["value"]) for e in entries) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("link", "3,0,-2", "--level", "2"),
+        ("link", "1,-1,-4,-6", "--level", "3"),
+        ("qlink", "2,0,-1", "--level", "2", "--q", "2/3"),
+    ],
+)
+def test_row_entry_lines_are_the_json_dumps_of_their_entries(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    nu = parse_signature(argv[1])
+    row = link_row(nu, int(argv[3])) if argv[0] == "link" else q_link_row(nu, int(argv[3]), Fraction(argv[5]))
+    want = [_entry(format_signature(kappa), weight) for kappa, weight in row.items()] + [_entry("row_sum", row.total)]
+    summary = out.splitlines()[-1]
+    assert out == "".join(json.dumps(entry) + "\n" for entry in want) + summary + "\n"
+
+
+# `gtkit --csv qlink 2,0,-1 --level 2 --q 2/3` as the entries were written
+# before the row commands emitted them from a template
+QLINK_CSV = (
+    "label,value,mode,tolerance\r\n"
+    '"0,-1",1215/4009,exact,\r\n'
+    '"0,0",324/4009,exact,\r\n'
+    '"1,-1",54/211,exact,\r\n'
+    '"1,0",360/4009,exact,\r\n'
+    '"2,-1",780/4009,exact,\r\n'
+    '"2,0",16/211,exact,\r\n'
+    "row_sum,1,exact,\r\n"
+)
+
+
+def test_row_csv_and_out_file_are_unchanged(tmp_path, capsys):
+    argv = ["qlink", "2,0,-1", "--level", "2", "--q", "2/3"]
+    code = main(["--csv", *argv])
+    assert (code, capsys.readouterr().out) == (0, QLINK_CSV)
+    path = tmp_path / "report.json"
+    code = main(["--out", str(path), *argv])
+    *entries, _ = capsys.readouterr().out.splitlines()
+    assert code == 0
+    text = path.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert list(report) == ["command", "inputs", "results", "status", "timing", "ignored_bounds"]
+    assert report["inputs"] == {"nu": "2,0,-1", "level": 2, "q": "2/3"}
+    assert report["results"] == [json.loads(line) for line in entries]
+    assert [[e["label"], e["value"]] for e in report["results"]] == [
+        row[:2] for row in list(csv.reader(io.StringIO(QLINK_CSV)))[1:]
+    ]
+    assert (report["status"], report["ignored_bounds"]) == ("pass", [])
 
 
 def test_qlink_row(capsys):
@@ -337,11 +393,21 @@ def test_verify_reports_cache_stats_under_timing(capsys):
         "bo_numerator",
         "general_q_scalar",
         "h_at_q_powers",
+        "schur_weight",
     }
     assert stats["bo_numerator"]["misses"] > 0
     # one numerator per (N, K, i, x), shared by every top row
     assert stats["bo_numerator"]["hits"] > stats["bo_numerator"]["misses"]
     assert all("stats" not in e for e in lines[:-1])  # entries, and so digests, stay as they were
+
+
+def test_q_oracle_reports_schur_weight_hits(capsys):
+    qlinks._schur_weight.cache_clear()  # cold, whatever ran before
+    code, lines, _ = run(capsys, "verify", "q-oracle", "--max-n", "3", "--part-bound", "1")
+    assert code == 0
+    stats = lines[-1]["timing"]["stats"]["schur_weight"]
+    # one s_kappa(q^S) per (kappa, q, S), shared by every top row
+    assert 0 < stats["misses"] < stats["hits"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants, Vandermonde structure, polynomials."""
 
+import math
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtkit.linalg import (
+    clear_denominators,
     complete_sym,
     det,
     elementary_sym,
@@ -47,20 +49,42 @@ def det_by_expansion(rows):
     return total
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def square(entries, sizes=st.integers(0, 4)):
+    return sizes.flatmap(lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+small_ints = st.integers(-9, 9)
+# all-int rows skip the clearing of denominators; bool is an int subclass
+# that must still take the general path
+entry_kinds = st.sampled_from(
+    [small_ints, rationals, st.one_of(small_ints, rationals), st.one_of(st.booleans(), small_ints)]
+)
+
+
+@settings(max_examples=160, deadline=None)
+@given(entry_kinds.flatmap(square))
 def test_det_matches_leibniz(rows):
-    assert det(rows) == det_by_expansion(rows)
+    got = det(rows)
+    assert type(got) is F
+    assert got == det_by_expansion(rows)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+@given(st.integers(1, 4).flatmap(lambda n: square(rationals, st.just(n))))
 def test_prefix_cofactors_expand_the_last_column(columns):
     *prefix, last = columns
-    cofactors, den = prefix_cofactors(prefix)
+    # the caller clears each column and divides by the product of their denominators
+    cleared = [clear_denominators(col) for col in prefix]
+    cofactors = prefix_cofactors([ints for ints, _ in cleared])
     assert all(type(c) is int for c in cofactors)
     rows = [list(r) for r in zip(*columns)]
-    assert F(sum(c * x for c, x in zip(cofactors, last))) / den == det_by_expansion(rows)
+    den = math.prod(lcd for _, lcd in cleared)
+    assert F(sum(c * x for c, x in zip(cofactors, last)), den) == det_by_expansion(rows)
+
+
+def test_prefix_cofactors_require_columns_of_length_k():
+    with pytest.raises(ValueError):
+        prefix_cofactors([[1, 2], [3, 4]])
 
 
 def test_det_empty_and_singular():
@@ -73,6 +97,10 @@ def test_ratmatrix_det_requires_square():
         det([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         det([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        det([[F(1, 2), 1], [2]])
+    with pytest.raises(ValueError):
+        det([[1, 2]])
 
 
 @settings(max_examples=40, deadline=None)

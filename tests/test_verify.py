@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gtkit.verify as verify
 from gtkit.verify import (
     SUITES,
     bench_signature,
@@ -101,3 +102,23 @@ def test_bench_table_completed_and_budgeted():
     assert cut["enumeration"] == "budget-exceeded"
     assert "enum_matches_det" not in cut
     assert cut["row_sum_1"] is True  # determinant route unaffected by the budget
+
+
+def test_counterexample_text_of_a_forced_failure(monkeypatch):
+    # the describe text is formatted only on the first failure, and reads as
+    # it did when every comparison formatted it
+    real_table = verify.rel_dim_table
+    monkeypatch.setattr(verify, "rel_dim_table", lambda nu, k, budget=None: {})
+    [result] = verify.suite_q1_oracle(max_n=2, part_bound=1)
+    assert (result.ok, result.checks) == (False, 16)
+    assert result.counterexample == "nu=-1,-1 kappa=-1: got 1, want 0"
+    leaky = lambda nu, k, budget=None: {**real_table(nu, k, budget=budget), (9,) * k: 1}  # noqa: E731
+    monkeypatch.setattr(verify, "rel_dim_table", leaky)
+    [result] = verify.suite_q1_oracle(max_n=2, part_bound=1)
+    assert result.counterexample == "nu=-1,-1: oracle support leaks outside the box"
+    monkeypatch.setattr(verify, "general_q_projection", lambda ctx, tspec, kappa: F(0))
+    results = verify.suite_q_oracle(max_n=3, part_bound=1, qs=[F(1, 2)])
+    assert [(r.checks, r.counterexample) for r in results] == [
+        (26, "nu=-1,-1 K=1 q=1/2 kappa=-1 bottom-run reduction: got 1, want 0"),
+        (116, "nu=-1,-1,-1 K=1 q=1/2 kappa=-1 bottom-run reduction: got 1, want 0"),
+    ]
