@@ -12,6 +12,10 @@ The embedding of a finite top row nu into the boundary coordinates uses
 half-integer-shifted Frobenius-type coordinates divided by N; the drift of
 an embedded point is always exactly zero, so embedded points always support
 exact mode.
+
+numpy is imported inside the float paths only (the quadrature, phi_eval at a
+float or complex point, the numeric minor determinant), so exact work never
+loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .linalg import Rat, det, poly_coeff, poly_divmod, poly_eval, poly_mul
 from .patterns import check_signature, dim_product
@@ -87,6 +89,8 @@ def phi_eval(omega: OmegaPoint, u):
     if u == 0:
         raise PoleError("u = 0 is an essential singularity direction")
     if not exact:
+        import numpy as np
+
         # a float pole or overflow raises an ArithmeticError, not a nan
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return complex(_phi_complex(omega, u))
@@ -180,6 +184,8 @@ def _circle_means(integrands, tolerance: float, max_points: int) -> list[float]:
     unit circle, m doubling from 64 until no mean moves by `tolerance`."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"quadrature tolerance must be positive and finite, got {tolerance}")
+    import numpy as np
+
     m = 64
     prev = None
     while m <= max_points:
@@ -242,8 +248,11 @@ def phi_coeffs(
     return LaurentWindow(n_min, n_max, dict(zip(ns, means)), "numeric", tolerance)
 
 
-def _phi_complex(omega: OmegaPoint, us: np.ndarray) -> np.ndarray:
-    """Phi in floating point at each of the complex points `us` (or at one)."""
+def _phi_complex(omega: OmegaPoint, us):
+    """Phi in floating point at each of the complex points `us` (a numpy
+    array, or one complex number)."""
+    import numpy as np
+
     out = np.exp(
         float(omega.gamma_plus) * (us - 1) + float(omega.gamma_minus) * (1 / us - 1)
     )
@@ -275,6 +284,8 @@ def phi_signature(
     entries = [[window[sig[i] - (i + 1) + (j + 1)] for j in range(n)] for i in range(n)]
     if mode == "exact":
         return det(entries)
+    import numpy as np
+
     return float(np.linalg.det(np.array(entries, dtype=float)))
 
 
@@ -361,7 +372,7 @@ def a_coeff_quadrature(
     return mean
 
 
-def _r_kernel_complex(N: int, K: int, x: int, i: int, us: np.ndarray) -> np.ndarray:
+def _r_kernel_complex(N: int, K: int, x: int, i: int, us):
     """Kernel R(u) whose pairing with Phi(.; embed(nu)) over the unit circle
     gives the finite coefficient A_i(x); tends to u^{-(x+i)} as N grows."""
     y = N / (us - 1)

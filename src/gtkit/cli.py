@@ -21,6 +21,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -103,6 +104,22 @@ def _entry(label: str, value, mode: str = "exact", tolerance: float | None = Non
 # argument plumbing
 
 
+# a signature token whose first part is negative, such as "-1,-2"
+_NEGATIVE_SIGNATURE = re.compile(r"-\d+\s*,")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token that starts with "-" for an option unless it is
+    a plain negative number; here a comma-separated token that starts with a
+    negative integer is an argument too, as a positional or an option value.
+    Subcommand parsers are made from this class as well."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_SIGNATURE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _sig(text: str) -> tuple:
     try:
         return parse_signature(text)
@@ -145,7 +162,7 @@ def _int_list(text: str) -> list:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gtkit",
         description="Exact determinantal counting of trapezoidal interlacing patterns.",
     )

@@ -86,6 +86,11 @@ class TSpec:
         s = tuple(sorted(set(range(self.N)) - set(t)))
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "S_prime", tuple(sorted(self.N - v for v in s)))
+        # every psi_T lookup hashes the spec; hash its fields once, as DetContext does
+        object.__setattr__(self, "_hash", hash((self.N, self.K, t)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _q_poly_part(ctx: QDetContext, i: int, node: int) -> tuple[int, int, int]:
@@ -146,13 +151,17 @@ def psi_T(ctx: QDetContext, tspec: TSpec, i: int, x: int) -> Rat:
     of the inverse Vandermonde belongs to the node q^{nu_j - j}."""
     if not 1 <= i <= ctx.N:
         raise ValueError("row index out of range")
-    inv = _q_nodes_inverse(ctx.nu, ctx.q)
-    total = Fraction(0)
-    for j, aj in enumerate(ctx.nodes()):
+    # h of negative degree is 0 and the nodes decrease, so the sum stops at
+    # the first node below x; the terms share one denominator, normalised once
+    num, den = 0, 1
+    for aj, v in zip(ctx.nodes(), _q_nodes_inverse(ctx.nu, ctx.q)[i - 1]):
+        if aj < x:
+            break
         h = h_at_q_powers(aj - x, tspec.T, ctx.q)
-        if h:
-            total += h * inv[i - 1][j]
-    return total
+        d = h.denominator * v.denominator
+        num = num * d + h.numerator * v.numerator * den
+        den *= d
+    return Fraction(num, den)
 
 
 # One scalar per (N, q, T): a default general-T sweep needs 44, and the

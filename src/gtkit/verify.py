@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import operator
 import random
 import time
 from collections import Counter
@@ -31,6 +32,7 @@ from .boundary import (
 from .linalg import Rat
 from .patterns import (
     BudgetExceededError,
+    _q_fraction,
     _resolve_budget,
     all_signatures,
     check_signature,
@@ -207,14 +209,17 @@ def _skew_profile(kappa, nu, budget=None) -> Counter:
     return profile
 
 
-def _profile_eval(profile: Counter, points: Sequence[Rat]) -> Rat:
-    total = Fraction(0)
+def _profile_eval(profile: Counter, t: Sequence[int], q: Fraction) -> Rat:
+    """The profile at the points q^t: sum_d count[d] q^<t, d>, grouped by the
+    total exponent <t, d> and summed in integers, normalised once."""
+    counts: Counter = Counter()
     for diffs, count in profile.items():
-        term = Fraction(count)
-        for u, d in zip(points, diffs):
-            term *= u**d
-        total += term
-    return total
+        counts[sum(map(operator.mul, t, diffs))] += count
+    if not counts:
+        return Fraction(0)
+    lo, hi = min(counts), max(counts)
+    a, b = q.numerator, q.denominator
+    return _q_fraction(q, sum(c * a ** (e - lo) * b ** (hi - e) for e, c in counts.items()), 1, lo, -hi)
 
 
 def suite_general_t(
@@ -243,11 +248,10 @@ def suite_general_t(
                     t_set = tspec.T
                     for q in qs:
                         ctx = ctxs[q]
-                        points_t = [q**t for t in t_set]
                         mass = Fraction(0)
                         for kappa, profile in boxes:
                             formula = general_q_ratio(ctx, tspec, kappa)
-                            oracle = _profile_eval(profile, points_t) / denom[q]
+                            oracle = _profile_eval(profile, t_set, q) / denom[q]
                             case.expect(
                                 formula,
                                 oracle,

@@ -147,6 +147,50 @@ def test_bad_signature_is_an_argparse_error(capsys):
     assert "position 2" in capsys.readouterr().err
 
 
+def _without_timing(lines):
+    return [{k: v for k, v in line.items() if k != "timing"} for line in lines]
+
+
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        (["dim", "-1,-2"], ["dim", "--", "-1,-2"]),
+        (["rdim", "-2,-3", "-1,-2,-4"], ["rdim", "--", "-2,-3", "-1,-2,-4"]),
+        (["rdim", "-1", "0,-1"], ["rdim", "--", "-1", "0,-1"]),
+        (["link", "-1,-1,-4", "--level", "2"], ["link", "--level", "2", "--", "-1,-1,-4"]),
+        (["link", "--level", "2", "-1,-1,-4"], ["link", "--level", "2", "--", "-1,-1,-4"]),
+        (["qlink", "-1,-1,-4", "--level", "2", "--q", "1/2"], ["qlink", "--level", "2", "--q", "1/2", "--", "-1,-1,-4"]),
+        (
+            ["uat", "--kappa", "-1,-2", "--family", "linear-row:1", "--n", "3,4", "--mode", "numeric"],
+            ["uat", "--kappa=-1,-2", "--family", "linear-row:1", "--n", "3,4", "--mode", "numeric"],
+        ),
+    ],
+)
+def test_negative_first_part_parses_as_a_signature(capsys, argv, reference):
+    code, lines, _ = run(capsys, *argv)
+    assert code == 0
+    assert any(str(value).startswith("-1") for value in lines[-1]["inputs"].values())
+    ref_code, ref_lines, _ = run(capsys, *reference)
+    assert (code, _without_timing(lines)) == (ref_code, _without_timing(ref_lines))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dim", "-1,x"], "bad integer 'x' at position 2"),
+        (["dim", "-1,2"], "nonincreasing"),
+        (["link", "-1,-1,y", "--level", "2"], "bad integer 'y' at position 3"),
+        (["qlink", "-1,0", "--level", "1", "--q", "1/2"], "nonincreasing"),
+        (["uat", "--kappa", "-1,-2,", "--family", "zero", "--n", "3"], "bad integer '' at position 3"),
+    ],
+)
+def test_malformed_negative_signature_is_an_argparse_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_small_suite(capsys):
     code, lines, _ = run(capsys, "verify", "q1-oracle", "--max-n", "3", "--part-bound", "1")
     assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import top_rows, wide_rows
 
-from gtkit.linalg import det
+from gtkit.linalg import det, vandermonde_inverse
 from gtkit.patterns import q_dim, q_dim_oracle, q_rel_dim_oracle, support_box
 from gtkit.qlinks import (
     QDetContext,
@@ -23,6 +23,7 @@ from gtkit.qlinks import (
     qA_coeff,
 )
 from gtkit.reldim import _cleared_column
+from gtkit.schur import h_at_q_powers
 
 Q = F(1, 2)
 
@@ -201,13 +202,13 @@ def test_integer_q_route_equals_oracles_at_wide_q(case, q):
 
 
 @st.composite
-def subset_cases(draw):
+def subset_cases(draw, max_den=12):
     """A top row with N <= 5, a level K, a random T of size N - K and
-    q = a/b with b <= 12."""
+    q = a/b with b <= max_den."""
     nu, k = draw(rows_with_level().filter(lambda case: case[1] is not None))
     n = len(nu)
     t = draw(st.permutations(range(n)))[: n - k]
-    return nu, k, t, draw(wide_qs(max_den=12))
+    return nu, k, t, draw(wide_qs(max_den=max_den))
 
 
 @settings(max_examples=25, deadline=None)
@@ -217,3 +218,18 @@ def test_projection_mass_is_one_at_random_subsets(case):
     ctx = QDetContext(k, nu, q)
     tspec = TSpec(len(nu), k, t)
     assert sum(general_q_projection(ctx, tspec, kappa) for kappa in support_box(nu, k)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_cases(max_den=60), st.data())
+def test_psi_T_equals_the_sum_over_every_node(case, data):
+    nu, k, t, q = case
+    ctx = QDetContext(k, nu, q)
+    tspec = TSpec(len(nu), k, t)
+    nodes = ctx.nodes()
+    i = data.draw(st.integers(1, len(nu)), label="i")
+    # from below the last node to above the first, where every term vanishes
+    x = data.draw(st.integers(nodes[-1] - 3, nodes[0] + 3), label="x")
+    inv = vandermonde_inverse([q**a for a in nodes])
+    full = sum(h_at_q_powers(a - x, tspec.T, q) * inv[i - 1][j] for j, a in enumerate(nodes))
+    assert psi_T(ctx, tspec, i, x) == full
