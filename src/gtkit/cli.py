@@ -10,7 +10,8 @@ the entries into a table instead and writes the summary line to stderr;
 Exact rational values are emitted as "p/q" strings, never as floats; float
 values only appear for numeric-mode operations and carry their tolerance.
 Exit status is 0 exactly when no check in the report failed: status `pass`,
-or `not-applicable` when there was nothing to check.
+or `not-applicable` when there was nothing to check. A reader that closes
+stdout early ends the output quietly with status 141.
 """
 
 from __future__ import annotations
@@ -475,7 +476,14 @@ def main(argv=None) -> int:
                 fh.write(report.to_json(indent=2) + "\n")
         except OSError as err:
             return _out_error(err)
-    _emit(report, args.csv, sys.stdout, sys.stderr)
+    try:
+        _emit(report, args.csv, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: stop writing, and point stdout at devnull
+        # so the flush at exit cannot raise again; 141 is 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0 if report.status in (None, "pass", "not-applicable") else 1
 
 

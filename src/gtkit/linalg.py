@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: determinants, Vandermonde systems,
-symmetric-function primitives, and dense univariate polynomials.
+"""Exact rational linear algebra: determinants, Vandermonde systems and
+dense univariate polynomials.
 
 Everything here computes over `fractions.Fraction` (aliased `Rat`); no
 floating point and no rounding ever. Polynomials are dense coefficient
@@ -22,15 +22,12 @@ __all__ = [
     "clear_denominators",
     "prefix_cofactors",
     "pochhammer",
-    "elementary_sym",
-    "complete_sym",
     "vandermonde_det",
     "vandermonde_inverse",
     "poly_add",
     "poly_scale",
     "poly_mul",
     "poly_eval",
-    "poly_deg",
     "poly_coeff",
     "poly_divmod",
     "poly_div_exact",
@@ -131,14 +128,6 @@ def pochhammer(y: RatLike, m: int) -> Rat:
     return out
 
 
-def elementary_sym(m: int, values: Sequence[RatLike]) -> Rat:
-    """Elementary symmetric polynomial e_m; e_0 = 1, zero outside 0..len(values)."""
-    vals = [Fraction(v) for v in values]
-    if m < 0 or m > len(vals):
-        return Fraction(0)
-    return _elementary_row(vals, m)[m]
-
-
 def _elementary_row(vals: Sequence[Rat], m: int) -> list[Rat]:
     """[e_0, ..., e_m] of vals, by one row of the Newton triangle per variable."""
     row = [Fraction(1)] + [Fraction(0)] * m
@@ -146,29 +135,6 @@ def _elementary_row(vals: Sequence[Rat], m: int) -> list[Rat]:
         for k in range(m, 0, -1):
             row[k] += v * row[k - 1]
     return row
-
-
-def complete_sym(m: int, values: Sequence[RatLike]) -> Rat:
-    """Complete homogeneous symmetric polynomial h_m; h_0 = 1, zero for m < 0."""
-    if m < 0:
-        return Fraction(0)
-    vals = [Fraction(v) for v in values]
-    if m == 0:
-        return Fraction(1)
-    if not vals:
-        return Fraction(0)
-    # h over a growing variable prefix: h[j] = h_j(prefix)
-    h = [Fraction(1)] + [Fraction(0)] * m
-    for idx, v in enumerate(vals):
-        if idx == 0:
-            power = Fraction(1)
-            for k in range(1, m + 1):
-                power *= v
-                h[k] = power
-        else:
-            for k in range(1, m + 1):
-                h[k] += v * h[k - 1]
-    return h[m]
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +185,6 @@ def _norm(coeffs: Sequence[Rat]) -> tuple[Rat, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_deg(p: Sequence[RatLike]) -> int:
-    """Degree, with the zero polynomial at -1."""
-    p = _norm([Fraction(c) for c in p])
-    return len(p) - 1
 
 
 def poly_coeff(p: Sequence[RatLike], k: int) -> Rat:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "BudgetExceededError",
     "Budget",
     "DEFAULT_BUDGET",
+    "resolve_budget",
     "check_signature",
     "parse_signature",
     "format_signature",
@@ -38,6 +40,7 @@ __all__ = [
     "GTPattern",
     "enumerate_trapezoids",
     "rel_dim_oracle",
+    "skew_profile",
     "rel_dim_table",
     "rel_dim_table_bound",
     "dim_product",
@@ -46,6 +49,8 @@ __all__ = [
     "q_dim",
     "q_dim_oracle",
     "q_rel_dim_oracle",
+    "q_series",
+    "profile_at_q_powers",
     "check_q",
     "all_signatures",
     "support_box",
@@ -111,7 +116,7 @@ class Budget:
             raise BudgetExceededError(self.limit, self.consumed, bound)
 
 
-def _resolve_budget(budget: int | Budget | None) -> Budget:
+def resolve_budget(budget: int | Budget | None) -> Budget:
     if isinstance(budget, Budget):
         return budget
     if budget is None:
@@ -274,7 +279,7 @@ def enumerate_trapezoids(
     nu = check_signature(nu)
     if len(kappa) > len(nu):
         raise ValueError("bottom row longer than top row")
-    b = _resolve_budget(budget)
+    b = resolve_budget(budget)
     if len(kappa) == len(nu):
         if kappa == nu:
             yield GTPattern((nu,))
@@ -288,6 +293,17 @@ def enumerate_trapezoids(
 def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> int:
     """Number of trapezoids with bottom kappa and top nu, counted one by one."""
     return sum(1 for _ in enumerate_trapezoids(kappa, nu, budget))
+
+
+def skew_profile(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> Counter:
+    """Multiset of row-sum increment vectors over all trapezoids kappa -> nu;
+    evaluating sum_d count[d] prod_m u_m^{d_m} gives the skew Schur value in
+    N - K variables."""
+    profile: Counter = Counter()
+    for pattern in enumerate_trapezoids(kappa, nu, budget):
+        sums = [sum(row) for row in pattern.rows]
+        profile[tuple(b - a for a, b in zip(sums, sums[1:]))] += 1
+    return profile
 
 
 def _descend_counts(lam: Signature, level: int, to_level: int, budget: Budget, table: dict) -> None:
@@ -349,7 +365,7 @@ def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None)
     budget.
     """
     nu = check_signature(nu)
-    b = _resolve_budget(budget)
+    b = resolve_budget(budget)
     b.preflight(rel_dim_table_bound(nu, K))
     table: dict = {}
     _descend_counts(nu, len(nu), K, b, table)
@@ -367,7 +383,7 @@ def dim_oracle(nu: Sequence[int], budget: int | Budget | None = None) -> int:
     nu = check_signature(nu)
     if not nu:
         return 1
-    b = _resolve_budget(budget)
+    b = resolve_budget(budget)
     b.preflight(_triangular_bound(nu))
     table: dict = {}
     _descend_counts(nu, len(nu), 1, b, table)
@@ -455,39 +471,48 @@ def q_dim(nu: Sequence[int], q) -> Rat:
     return _q_fraction(q, num, den, ea - da, eb - db)
 
 
-def _descend_q(lam: Signature, level: int, q: Rat, budget: Budget) -> Rat:
+def q_series(counts: dict, q: Rat) -> Rat:
+    """sum_e counts[e] q^e for integer exponents and counts. At q = a/b each
+    term is an integer over a^-lo b^hi, lo = min(0, min e), hi = max(0, max e),
+    so the sum is one integer sum, normalised once as one Fraction."""
+    lo, hi = min([0, *counts]), max([0, *counts])
+    a, b = q.numerator, q.denominator
+    return Fraction(sum(c * a ** (e - lo) * b ** (hi - e) for e, c in counts.items()), a**-lo * b**hi)
+
+
+def _descend_volumes(lam: Signature, level: int, vol: int, budget: Budget, counts: Counter) -> None:
     if level == 1:
-        return Fraction(1)
+        counts[vol] += 1
+        return
     m = level - 1
     budget_consume = budget.consume
     lo = [lam[i + 1] for i in range(m)]
     hi = [lam[i] for i in range(m)]
     row = [0] * m
-    total = Fraction(0)
 
     def rec(i: int) -> None:
-        nonlocal total
         if i == m:
             budget_consume(m)
-            total += q ** sum(row) * _descend_q(tuple(row), m, q, budget)
+            _descend_volumes(tuple(row), m, vol + sum(row), budget, counts)
             return
         for v in range(lo[i], hi[i] + 1):
             row[i] = v
             rec(i + 1)
 
     rec(0)
-    return total
 
 
 def q_dim_oracle(nu: Sequence[int], q, budget: int | Budget | None = None) -> Rat:
-    """Sum of q^volume over all triangular patterns, walked explicitly."""
+    """Sum of q^volume over all triangular patterns, counted by volume."""
     nu = check_signature(nu)
     q = check_q(q)
     if not nu:
         return Fraction(1)
-    b = _resolve_budget(budget)
+    b = resolve_budget(budget)
     b.preflight(_triangular_bound(nu))
-    return _descend_q(nu, len(nu), q, b)
+    counts: Counter = Counter()
+    _descend_volumes(nu, len(nu), 0, b, counts)
+    return q_series(counts, q)
 
 
 def q_rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], q, budget: int | Budget | None = None) -> Rat:
@@ -496,16 +521,24 @@ def q_rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], q, budget: int | B
     kappa = check_signature(kappa)
     nu = check_signature(nu)
     q = check_q(q)
-    n, k = len(nu), len(kappa)
-    prefix = q ** sum(kappa)
-    if k == n:
-        return prefix if kappa == nu else Fraction(0)
-    b = _resolve_budget(budget)
-    total = Fraction(0)
-    for chain in _ascend(kappa, nu, k, b):
-        middle = chain[:-1]
-        total += q ** sum(sum(r) for r in middle)
-    return prefix * total
+    if len(kappa) > len(nu):
+        raise ValueError("bottom row longer than top row")
+    b = resolve_budget(budget)
+    base = sum(kappa)
+    counts: Counter = Counter()
+    if fits_under(kappa, nu):
+        for chain in _ascend(kappa, nu, len(kappa), b):
+            counts[base + sum(map(sum, chain[:-1]))] += 1
+    return q_series(counts, q)
+
+
+def profile_at_q_powers(profile: Counter, t: Sequence[int], q: Rat) -> Rat:
+    """A skew_profile at the points q^t: sum_d count[d] q^<t, d>, counted by
+    the total exponent <t, d>."""
+    counts: Counter = Counter()
+    for diffs, count in profile.items():
+        counts[sum(map(operator.mul, t, diffs))] += count
+    return q_series(counts, q)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .linalg import Rat, RatLike, det, vandermonde_det
-from .patterns import _ascend, _resolve_budget, check_signature
+from .patterns import check_signature, skew_profile
 
 __all__ = [
     "RepeatedPointsError",
@@ -60,25 +60,19 @@ def skew_schur_combinatorial(
     budget: int | None = None,
 ) -> Rat:
     """Sum over interlacing chains from kappa up to nu of
-    prod_m vals_m^(row-sum increment at step m)."""
+    prod_m vals_m^(row-sum increment at step m), one product per distinct
+    increment vector of the skew profile."""
     nu = check_signature(nu)
     kappa = check_signature(kappa)
     u = _check_points(vals)
     n, k = len(nu), len(kappa)
     if len(u) != n - k:
         raise ValueError("need one evaluation point per added row")
-    if k == n:
-        return Fraction(1) if kappa == nu else Fraction(0)
-    b = _resolve_budget(budget)
     total = Fraction(0)
-    base = sum(kappa)
-    for chain in _ascend(kappa, nu, k, b):
-        weight = Fraction(1)
-        prev = base
-        for m, row in enumerate(chain):
-            s = sum(row)
-            weight *= u[m] ** (s - prev)
-            prev = s
+    for diffs, count in skew_profile(kappa, nu, budget).items():
+        weight = Fraction(count)
+        for v, d in zip(u, diffs):
+            weight *= v**d
         total += weight
     return total
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import operator
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,17 +30,17 @@ from .boundary import (
 from .linalg import Rat
 from .patterns import (
     BudgetExceededError,
-    _q_fraction,
-    _resolve_budget,
     all_signatures,
     check_signature,
     dim_product,
-    enumerate_trapezoids,
     format_signature,
+    profile_at_q_powers,
     q_dim,
     q_dim_oracle,
     q_rel_dim_oracle,
     rel_dim_table,
+    resolve_budget,
+    skew_profile,
     support_box,
 )
 from .qlinks import QDetContext, TSpec, general_q_projection, general_q_ratio, q_link_row, q_rel_dim_ratio, q_to_1_check
@@ -198,30 +196,6 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult
 # q-weighted formulas vs enumeration
 
 
-def _skew_profile(kappa, nu, budget=None) -> Counter:
-    """Multiset of row-sum increment vectors over all trapezoids kappa -> nu;
-    evaluating sum_d count[d] prod_m u_m^{d_m} gives the skew Schur value in
-    N - K variables."""
-    profile: Counter = Counter()
-    for pattern in enumerate_trapezoids(kappa, nu, budget=budget):
-        sums = [sum(row) for row in pattern.rows]
-        profile[tuple(b - a for a, b in zip(sums, sums[1:]))] += 1
-    return profile
-
-
-def _profile_eval(profile: Counter, t: Sequence[int], q: Fraction) -> Rat:
-    """The profile at the points q^t: sum_d count[d] q^<t, d>, grouped by the
-    total exponent <t, d> and summed in integers, normalised once."""
-    counts: Counter = Counter()
-    for diffs, count in profile.items():
-        counts[sum(map(operator.mul, t, diffs))] += count
-    if not counts:
-        return Fraction(0)
-    lo, hi = min(counts), max(counts)
-    a, b = q.numerator, q.denominator
-    return _q_fraction(q, sum(c * a ** (e - lo) * b ** (hi - e) for e, c in counts.items()), 1, lo, -hi)
-
-
 def suite_general_t(
     max_n: int = 4,
     part_bound: int = 2,
@@ -242,7 +216,7 @@ def suite_general_t(
         for nu in all_signatures(n, -part_bound, part_bound):
             denom = {q: schur_bialternant(nu, [q**e for e in range(n)]) for q in qs}
             for k in range(1, n):
-                boxes = [(kappa, _skew_profile(kappa, nu, budget)) for kappa in support_box(nu, k)]
+                boxes = [(kappa, skew_profile(kappa, nu, budget)) for kappa in support_box(nu, k)]
                 ctxs = {q: QDetContext(k, nu, q) for q in qs}
                 for tspec in tspecs[k]:
                     t_set = tspec.T
@@ -251,7 +225,7 @@ def suite_general_t(
                         mass = Fraction(0)
                         for kappa, profile in boxes:
                             formula = general_q_ratio(ctx, tspec, kappa)
-                            oracle = _profile_eval(profile, t_set, q) / denom[q]
+                            oracle = profile_at_q_powers(profile, t_set, q) / denom[q]
                             case.expect(
                                 formula,
                                 oracle,
@@ -703,7 +677,7 @@ def bench_table(ns: Sequence[int], k: int = 2, budget: int | None = None) -> lis
             "support": len(row),
         }
         t0 = time.perf_counter()
-        walk = _resolve_budget(budget)
+        walk = resolve_budget(budget)
         try:
             table = rel_dim_table(nu, k, budget=walk)
         except BudgetExceededError as err:

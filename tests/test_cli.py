@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,27 @@ def test_link_row(capsys):
     assert code == 0
     weights = {e["label"]: e["value"] for e in lines[:-1]}
     assert weights == {"0": "1/2", "1": "1/2", "row_sum": "1"}
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE however fast it runs
+    src = str(Path(gtkit.cli.__file__).resolve().parent.parent)
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtkit.cli", "link", "9,5,3,2,1,0,-4", "--level", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gtkit.patterns
 from gtkit.patterns import (
     Budget,
     BudgetExceededError,
@@ -19,15 +20,19 @@ from gtkit.patterns import (
     format_signature,
     interlaces,
     parse_signature,
+    profile_at_q_powers,
     q_dim,
     q_dim_oracle,
     q_rel_dim_oracle,
+    q_series,
     rel_dim_oracle,
     rel_dim_table,
     rel_dim_table_bound,
+    skew_profile,
     support_box,
     volume,
 )
+from gtkit.schur import skew_schur_combinatorial
 from gtkit.verify import bench_signature
 
 from strategies import top_rows
@@ -95,6 +100,9 @@ def test_rel_dim_oracle_edges():
     assert rel_dim_oracle((2, 2), (1, 0)) == 0  # K = N, different rows
     assert rel_dim_oracle((5,), (2, 0)) == 0  # does not fit
     assert rel_dim_oracle((1,), (2, 0)) == 1
+    for oracle, args in ((rel_dim_oracle, ()), (q_rel_dim_oracle, (F(1, 2),))):
+        with pytest.raises(ValueError, match="bottom row longer than top row"):
+            oracle((1, 0, 0), (1, 0), *args)
 
 
 def test_rel_dim_table_groups_counts():
@@ -181,6 +189,28 @@ def test_rel_dim_table_bound_small_sweep():
                 assert walk.bound <= walk.consumed, (nu, k)
 
 
+def test_oracle_walks_keep_their_values_and_units():
+    # each oracle counts the same cells as its per-pattern Fraction walk did,
+    # whether it finishes or is stopped partway
+    q = F(1, 2)
+    nu = (3, 1, 0, -2)
+    for call, value, units in (
+        (lambda b: q_dim_oracle(nu, q, budget=b), F(571795, 2048), 570),
+        (lambda b: q_rel_dim_oracle((1, 0), nu, q, budget=b), F(147, 32), 126),
+        (lambda b: skew_schur_combinatorial(nu, (1, 0), (2, 3), budget=b), F(1805, 36), 126),
+    ):
+        walk = Budget(WALK_CAP)
+        assert call(walk) == value
+        assert walk.consumed == units
+    for call, units, consumed in (
+        (lambda b: q_dim_oracle(nu, q, budget=b), 400, 401),
+        (lambda b: q_rel_dim_oracle((1, 0), nu, q, budget=b), 60, 63),
+    ):
+        with pytest.raises(BudgetExceededError) as info:
+            call(units)
+        assert (info.value.consumed, info.value.bound) == (consumed, None)
+
+
 def test_edge_levels_have_zero_bound():
     nu = (4, 1, 0, -3)
     assert rel_dim_table_bound(nu, 0) == rel_dim_table_bound(nu, 4) == 0
@@ -254,6 +284,40 @@ def test_q_rel_dim_oracle_values():
     assert q_rel_dim_oracle((1,), (1, 0), q) == F(1, 2)
     assert q_rel_dim_oracle((1, 0), (1, 0), q) == F(1, 2)  # K = N edge: q^{|kappa|}
     assert q_rel_dim_oracle((2, 2), (1, 0), q) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=5),
+    st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda q: 0 < q < 1),
+)
+def test_q_series_equals_the_termwise_sum(counts, q):
+    assert q_series(counts, q) == sum((c * q**e for e, c in counts.items()), F(0))
+
+
+def test_profile_at_q_powers_counts_each_trapezoid_once():
+    nu, kappa = (2, 1, 0, -1), (1, 0)
+    profile = skew_profile(kappa, nu)
+    assert sum(profile.values()) == rel_dim_oracle(kappa, nu)
+    # at t = (1, 0) only the first added row is weighted
+    q = F(2, 3)
+    want = sum((q ** sum(p.rows[1]) for p in enumerate_trapezoids(kappa, nu)), F(0)) / q ** sum(kappa)
+    assert profile_at_q_powers(profile, (1, 0), q) == want
+
+
+def test_oracles_share_no_q_power_helper(monkeypatch):
+    # q_dim and the q-link path build their values with _q_diff_product and
+    # _q_fraction; the oracles they are checked against must not
+    def forbidden(*args):
+        raise AssertionError("an oracle called a q-power helper of the determinantal path")
+
+    monkeypatch.setattr(gtkit.patterns, "_q_diff_product", forbidden)
+    monkeypatch.setattr(gtkit.patterns, "_q_fraction", forbidden)
+    q = F(2, 3)
+    assert q_dim_oracle((2, 1, -1), q) == F(4009, 486)
+    assert q_rel_dim_oracle((1, 0), (2, 1, -1), q) == F(2, 3)
+    assert profile_at_q_powers(skew_profile((1,), (2, 1, -1)), (0, 1), q) == F(95, 18)
+    assert skew_schur_combinatorial((2, 1, -1), (1,), (1, q)) == F(95, 18)
 
 
 def test_all_signatures_counts():
