@@ -25,8 +25,11 @@ import os
 import re
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from . import qlinks, reldim, schur
 from .patterns import BudgetExceededError, dim_product, format_signature, parse_signature
@@ -50,13 +53,23 @@ class RunReport:
         """The result entries, as dicts."""
         return self.results
 
-    def entry_lines(self) -> str:
+    def entry_lines(self) -> Iterator[str]:
         """The result entries as JSON lines, each ending in a newline."""
-        return "".join(json.dumps(entry) + "\n" for entry in self.results)
+        return (json.dumps(entry) + "\n" for entry in self.results)
+
+    def write_entries(self, stream) -> None:
+        """Write the entry lines to `stream`, `_CHUNK_LINES` of them per write,
+        so a wide row is never held as one string."""
+        lines = self.entry_lines()
+        while chunk := "".join(islice(lines, _CHUNK_LINES)):
+            stream.write(chunk)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps({**asdict(self), "results": self.entries()}, indent=indent)
 
+
+# entry lines joined per write: a few tens of KB of a wide link row
+_CHUNK_LINES = 256
 
 # json.dumps(_entry(label, value)) of an exact entry whose label and value
 # need no JSON escaping, as signatures and "p/q" strings never do
@@ -79,8 +92,8 @@ class RowReport(RunReport):
     def entries(self) -> list:
         return [_entry(label, value) for label, value in self._pairs()]
 
-    def entry_lines(self) -> str:
-        return "".join([_EXACT_LINE % pair for pair in self._pairs()])
+    def entry_lines(self) -> Iterator[str]:
+        return (_EXACT_LINE % pair for pair in self._pairs())
 
 
 def _enc(value):
@@ -162,7 +175,10 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused after it: parsing
+    leaves no state on it, as each call gets a fresh namespace."""
     parser = _Parser(
         prog="gtkit",
         description="Exact determinantal counting of trapezoidal interlacing patterns.",
@@ -419,7 +435,7 @@ def _emit(report: RunReport, use_csv: bool, stream, err_stream) -> None:
             writer.writerow({k: json.dumps(v) if isinstance(v, bool) else v for k, v in entry.items()})
         print(json.dumps(summary), file=err_stream)
         return
-    stream.write(report.entry_lines())
+    report.write_entries(stream)
     print(json.dumps(summary), file=stream)
 
 

@@ -62,8 +62,12 @@ class DetContext:
         object.__setattr__(self, "nu", check_signature(self.nu))
         if not 1 <= self.K < len(self.nu):
             raise ValueError("need 1 <= K < N")
-        # every coefficient-cache lookup hashes the context; hash its fields once
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        # every coefficient-cache lookup hashes the context, so hash its fields
+        # once; nu enters with its parts doubled, since hash(-1) == hash(-2)
+        # in CPython and no doubled part is -1
+        doubled = tuple(2 * v for v in self.nu)
+        image = tuple(doubled if f.name == "nu" else getattr(self, f.name) for f in fields(self))
+        object.__setattr__(self, "_hash", hash(image))
 
     def __hash__(self) -> int:
         return self._hash
@@ -280,13 +284,16 @@ class LinkRow:
     """One row of a link: nonnegative weights over bottom rows, summing to 1.
 
     `total` is the exact sum of the weights, taken once as an integer over
-    the least common multiple of their denominators."""
+    the least common multiple of their denominators. The weights are kept in
+    one dict of the row's own, by increasing kappa; a row whose keys arrive
+    in that order, as `support_box` yields them, is kept as validated."""
 
     def __init__(self, top: Signature, K: int, weights: dict):
         self.top = check_signature(top)
         self.K = K
         clean = {}
         mass, lcm = 0, 1  # running sum of the weights is mass / lcm
+        last, in_order = (), True  # () sorts before every signature of length K >= 1
         for kappa, w in weights.items():
             kappa = check_signature(kappa)
             if len(kappa) != K:
@@ -298,6 +305,8 @@ class LinkRow:
                 raise ValueError(f"negative link weight at {kappa}: {w}")
             if num:
                 clean[kappa] = w
+                in_order = in_order and last < kappa
+                last = kappa
                 if lcm % den:
                     grown = math.lcm(lcm, den)
                     mass *= grown // lcm
@@ -306,7 +315,7 @@ class LinkRow:
         self.total = Fraction(mass, lcm)
         if self.total != 1:
             raise ValueError(f"link weights must sum to 1 exactly, got {self.total}")
-        self.weights: dict = dict(sorted(clean.items()))
+        self.weights: dict = clean if in_order else dict(sorted(clean.items()))
 
     def __getitem__(self, kappa) -> Rat:
         return self.weights.get(check_signature(kappa), Fraction(0))

@@ -65,25 +65,67 @@ def test_link_row(capsys):
     assert weights == {"0": "1/2", "1": "1/2", "row_sum": "1"}
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
-    # the read end is closed before the child starts, so its first write to
-    # stdout fails with EPIPE however fast it runs
+def child_env() -> dict:
+    """The environment of a child interpreter that imports gtkit from this checkout."""
     src = str(Path(gtkit.cli.__file__).resolve().parent.parent)
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+# a row of 1,116 entries, about 96 KB of entry lines: more than one write
+# chunk, and more than a pipe buffer
+WIDE_LINK = ("link", "14,9,6,3,1,0,-2,-5", "--level", "3")
+
+
+@pytest.mark.parametrize("argv", [("link", "9,5,3,2,1,0,-4", "--level", "3"), WIDE_LINK])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE however fast it runs
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "gtkit.cli", "link", "9,5,3,2,1,0,-4", "--level", "3"],
+            [sys.executable, "-m", "gtkit.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(),
             timeout=120,
         )
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_import_builds_no_parser_and_main_builds_it_once():
+    code = """
+import contextlib, io, json
+import gtkit.cli
+at_import = gtkit.cli._build_parser.cache_info().currsize
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [gtkit.cli.main(["dim", "2,1,0"]), gtkit.cli.main(["dim", "1,0"])]
+info = gtkit.cli._build_parser.cache_info()
+print(json.dumps([at_import, codes, info.misses, info.hits]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [0, 0], 1, 1]
+
+
+def test_reused_parser_carries_nothing_into_the_next_call(tmp_path, capsys):
+    code, lines, _ = run(capsys, "verify", "general-T", "--max-n", "2", "--q", "3/5")
+    assert (code, lines[-1]["inputs"]["qs"]) == (0, ["3/5"])
+    code, lines, _ = run(capsys, "verify", "general-T", "--max-n", "2")
+    assert (code, lines[-1]["inputs"]) == (0, {"suite": "general-T", "max_n": 2})
+    path = tmp_path / "report.json"
+    for flags in (["--csv"], ["--out", str(path)]):
+        assert main([*flags, "dim", "2,1,0"]) == 0
+        capsys.readouterr()
+        path.unlink(missing_ok=True)
+        code, lines, err = run(capsys, "dim", "2,1,0")
+        assert (code, lines[0]["label"], lines[-1]["command"], err) == (0, "dim", "dim", "")
+        assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -104,6 +146,7 @@ def test_row_sum_is_the_exact_sum_of_the_emitted_entries(capsys, argv):
         ("link", "3,0,-2", "--level", "2"),
         ("link", "1,-1,-4,-6", "--level", "3"),
         ("qlink", "2,0,-1", "--level", "2", "--q", "2/3"),
+        WIDE_LINK,
     ],
 )
 def test_row_entry_lines_are_the_json_dumps_of_their_entries(capsys, argv):

@@ -22,7 +22,7 @@ from gtkit.qlinks import (
     q_to_1_check,
     qA_coeff,
 )
-from gtkit.reldim import _cleared_column
+from gtkit.reldim import DetContext, _cleared_column
 from gtkit.schur import h_at_q_powers
 
 Q = F(1, 2)
@@ -36,6 +36,16 @@ def test_context_validation():
         QDetContext(1, (1, 0), F(3, 2))
     with pytest.raises(ValueError):
         QDetContext(2, (1, 0), Q)
+
+
+@pytest.mark.parametrize("cls, extra", [(DetContext, ()), (QDetContext, (Q,))])
+def test_contexts_whose_parts_differ_in_minus_one_and_minus_two_hash_apart(cls, extra):
+    # hash(-1) == hash(-2) in CPython, so a hash over the plain parts collides
+    contexts = [cls(1, nu, *extra) for nu in [(-1, -2), (-2, -2), (-1, -1)]]
+    assert len({hash(ctx) for ctx in contexts}) == 3
+    same = cls(1, [-1, -2], *extra)
+    assert (same, hash(same)) == (contexts[0], hash(contexts[0]))
+    assert repr(same).startswith(f"{cls.__name__}(K=1, nu=(-1, -2)")
 
 
 def test_tspec_validation():

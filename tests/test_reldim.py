@@ -111,6 +111,7 @@ def test_link_row_mass_and_nonnegativity():
             assert all(w > 0 for w in row.weights.values())
             support = {k for k in all_signatures(K, nu[-1], nu[0]) if rel_dim_oracle(k, nu) > 0}
             assert set(row.weights) == support
+            assert list(row.weights) == sorted(support)
 
 
 def test_linkrow_validation():
@@ -123,6 +124,35 @@ def test_linkrow_validation():
     # zero weights are dropped, not stored
     row = LinkRow((1, 0), 1, {(0,): F(1), (1,): F(0)})
     assert dict(row.items()) == {(0,): F(1)}
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({(0,): F(1, 4), (1,): F(1, 3), (2,): F(4, 9)}, "link weights must sum to 1 exactly, got 37/36"),
+        ({(0,): F(3, 2), (1,): F(-1, 2)}, "negative link weight at (1,): -1/2"),
+        ({(0,): F(1, 2), (0, 0): F(1, 2)}, "support entries must have length K"),
+        ({(0,): F(1, 2), (0, 1): F(1, 2)}, "signature parts must be nonincreasing, got (0, 1)"),
+    ],
+)
+@pytest.mark.parametrize("step", [1, -1])
+def test_linkrow_errors_do_not_depend_on_key_order(weights, message, step):
+    with pytest.raises(ValueError) as err:
+        LinkRow((2, 0), 1, dict(list(weights.items())[::step]))
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1)])
+def test_linkrow_keeps_its_own_dict_sorted(order):
+    sorted_weights = {(0,): F(1, 4), (1,): F(1, 6), (2,): F(7, 12)}
+    given = {(k,): sorted_weights[(k,)] for k in order}
+    row = LinkRow((2, 0), 1, given)
+    assert list(row.items()) == list(LinkRow((2, 0), 1, sorted_weights).items()) == list(sorted_weights.items())
+    given[(0,)] = F(5)
+    del given[(2,)]
+    given[(3,)] = F(1)
+    assert list(row.items()) == list(sorted_weights.items())
+    assert (len(row), row.total) == (3, 1)
 
 
 @pytest.mark.parametrize(
