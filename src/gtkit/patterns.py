@@ -372,22 +372,14 @@ def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None)
     return table
 
 
-def _triangular_bound(nu: Signature) -> int:
-    """Lower bound on the units of a walk from nu down to level 1: one unit
-    per triangular pattern, placed at level 1 (none when N = 1)."""
-    return dim_product(nu) if len(nu) >= 2 else 0
-
-
 def dim_oracle(nu: Sequence[int], budget: int | Budget | None = None) -> int:
-    """Number of triangular patterns with top row nu, counted one by one."""
+    """Number of triangular patterns with top row nu, counted one by one:
+    every chain down to level 1 is a pattern, so this is the sum of
+    rel_dim_table(nu, 1), pre-flight included."""
     nu = check_signature(nu)
     if not nu:
         return 1
-    b = resolve_budget(budget)
-    b.preflight(_triangular_bound(nu))
-    table: dict = {}
-    _descend_counts(nu, len(nu), 1, b, table)
-    return sum(table.values())
+    return sum(rel_dim_table(nu, 1, budget).values())
 
 
 def dim_product(nu: Sequence[int]) -> int:
@@ -509,7 +501,7 @@ def q_dim_oracle(nu: Sequence[int], q, budget: int | Budget | None = None) -> Ra
     if not nu:
         return Fraction(1)
     b = resolve_budget(budget)
-    b.preflight(_triangular_bound(nu))
+    b.preflight(rel_dim_table_bound(nu, 1))
     counts: Counter = Counter()
     _descend_volumes(nu, len(nu), 0, b, counts)
     return q_series(counts, q)

@@ -68,17 +68,6 @@ class BoundarySeq:
         """The denominator tail is (z q^{tail_start}; q)_infinity."""
         return len(self.head) + self.tail
 
-    @classmethod
-    def parse(cls, text: str) -> "BoundarySeq":
-        """Parse 'n1,...,nr;c' (head may be empty: ';c' or just 'c')."""
-        text = text.strip()
-        if ";" in text:
-            head_text, tail_text = text.split(";", 1)
-            head = tuple(int(p) for p in head_text.split(",") if p.strip() != "")
-        else:
-            head, tail_text = (), text
-        return cls(head, int(tail_text))
-
     def format(self) -> str:
         return ",".join(str(v) for v in self.head) + ";" + str(self.tail)
 

@@ -61,7 +61,7 @@ class DetContext:
     def __post_init__(self):
         object.__setattr__(self, "nu", check_signature(self.nu))
         if not 1 <= self.K < len(self.nu):
-            raise ValueError("need 1 <= K < N")
+            raise ValueError(f"need 1 <= K < N, got K={self.K} and N={len(self.nu)}")
         # every coefficient-cache lookup hashes the context, so hash its fields
         # once; nu enters with its parts doubled, since hash(-1) == hash(-2)
         # in CPython and no doubled part is -1
@@ -95,7 +95,12 @@ def _poly_part(ctx: DetContext, i: int, y: int) -> int:
     return math.prod(range(y + 1, y + i)) * math.prod(range(y + n - k + i + 1, y + n + 1))
 
 
-@lru_cache(maxsize=1 << 18)
+# Inside one row or suite _cleared_column answers first, so hits come from
+# later commands in the same process (bo-equivalence and coherence re-read
+# q1-oracle's entries). Two default sweeps of every suite in one process end
+# with 9,557 entries and hit and miss as they would at 2^18. Each entry keeps
+# its context alive, so the bound also caps what a long run of rows retains.
+@lru_cache(maxsize=1 << 14)
 def A_coeff(ctx: DetContext, i: int, x: int) -> Rat:
     """Residue sum for the i-th coefficient at shifted position x.
 

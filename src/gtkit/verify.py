@@ -104,10 +104,7 @@ class _Case:
         self.start = time.perf_counter()
 
     def expect(self, got, want, describe: Callable[[], str]) -> bool:
-        self.checks += 1
-        if got != want and self.counterexample is None:
-            self.counterexample = f"{describe()}: got {got}, want {want}"
-        return self.counterexample is None
+        return self.check(got == want, lambda: f"{describe()}: got {got}, want {want}")
 
     def check(self, ok: bool, describe: Callable[[], str]) -> bool:
         self.checks += 1
@@ -370,7 +367,8 @@ def suite_coherence(
 # q-Toeplitz calculus
 
 
-_SEQ_NAMES = ("0", "1", "0;2")
+# n = (0, 0, ...), (1, 1, ...) and (0, 2, 2, ...)
+_SEQS = (BoundarySeq((), 0), BoundarySeq((), 1), BoundarySeq((0,), 2))
 _MAX_XI = 6  # the (x, i) grid of the solver and recurrence checks is 1.._MAX_XI
 
 
@@ -410,8 +408,7 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
                     case.expect(qtoeplitz_solve(coeffs, q, x, i), fill[(x, i)], lambda: f"solver d({x},{i})")
         out.append(case.result())
 
-    for text in _SEQ_NAMES:
-        n_seq = BoundarySeq.parse(text)
+    for n_seq in _SEQS:
         for q in qs:
             case = _Case("qtoeplitz", f"n={n_seq.format()} q={q}")
             gen = b_generating_check(n_seq, q)

@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the test modules."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 
@@ -35,3 +37,10 @@ def top_rows(draw, max_n=8, bound=6):
         return (low,)
     inner = draw(st.lists(st.integers(low, low + width), min_size=n - 2, max_size=n - 2))
     return tuple(sorted([low + width, *inner, low], reverse=True))
+
+
+def q_points(max_denominator=12):
+    """A rational q = a/b with 0 < q < 1 and b <= max_denominator."""
+    return st.integers(2, max_denominator).flatmap(
+        lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
+    )

@@ -45,7 +45,9 @@ def test_rdim_rejects_bad_lengths(capsys):
     code, lines, err = run(capsys, "rdim", "1,0", "1,0")
     assert code == 2
     assert not lines
-    assert json.loads(err)["error"] == "ValueError"
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "K=2" in error["detail"] and "N=2" in error["detail"]
 
 
 def test_malformed_budget_variable_exits_2(capsys, monkeypatch):
@@ -275,11 +277,13 @@ def test_verify_reports_ignored_bounds(capsys):
     assert lines[-1]["ignored_bounds"] == ["max_n", "part_bound"]
 
 
-def test_verify_vacuous_pass(capsys):
-    code, lines, _ = run(capsys, "verify", "q1-oracle", "--max-n", "1")
+# coherence starts at N = 3
+@pytest.mark.parametrize("suite, max_n", [("q1-oracle", "1"), ("coherence", "2")])
+def test_verify_with_no_cases_is_not_applicable(capsys, suite, max_n):
+    code, lines, _ = run(capsys, "verify", suite, "--max-n", max_n)
     assert code == 0
-    assert lines[0]["label"] == "no cases below N=2"
-    assert lines[0]["checks"] == 0
+    assert len(lines) == 1  # the summary line alone
+    assert lines[0]["status"] == "not-applicable"
 
 
 def test_verify_budget_exhaustion_exits_3(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gtkit.patterns
 from gtkit.patterns import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExceededError,
     GTPattern,
@@ -35,11 +36,7 @@ from gtkit.patterns import (
 from gtkit.schur import skew_schur_combinatorial
 from gtkit.verify import bench_signature
 
-from strategies import top_rows
-
-small_sig = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
-    lambda xs: tuple(sorted(xs, reverse=True))
-)
+from strategies import q_points, top_rows
 
 
 def test_parse_format_roundtrip():
@@ -90,9 +87,11 @@ def test_dim_known_values():
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_sig)
+@given(top_rows(max_n=4, bound=5))
 def test_dim_product_matches_oracle(nu):
-    assert dim_product(nu) == dim_oracle(nu)
+    walk = Budget(DEFAULT_BUDGET)
+    assert dim_oracle(nu, budget=walk) == dim_product(nu)
+    assert walk.bound == rel_dim_table_bound(nu, 1) <= walk.consumed
 
 
 def test_rel_dim_oracle_edges():
@@ -273,9 +272,11 @@ def test_q_dim_values():
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_sig, st.sampled_from([F(1, 2), F(2, 3), F(1, 3)]))
+@given(top_rows(max_n=4, bound=5), q_points(max_denominator=12))
 def test_q_dim_matches_oracle(nu, q):
-    assert q_dim(nu, q) == q_dim_oracle(nu, q)
+    walk = Budget(DEFAULT_BUDGET)
+    assert q_dim_oracle(nu, q, budget=walk) == q_dim(nu, q)
+    assert walk.bound == rel_dim_table_bound(nu, 1) <= walk.consumed
 
 
 def test_q_rel_dim_oracle_values():
