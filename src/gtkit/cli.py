@@ -256,11 +256,12 @@ def _cmd_rdim(args) -> RunReport:
 _DET_CACHES = {"prefix_cofactors": reldim._prefix_cofactors, "cleared_column": reldim._cleared_column}
 _CACHES = {
     "link": {"A_coeff": reldim.A_coeff, **_DET_CACHES},
-    "qlink": {"qA_coeff": qlinks.qA_coeff, **_DET_CACHES},
+    "qlink": {"qA_coeff": qlinks.qA_coeff, "q_power": qlinks._q_power, **_DET_CACHES},
     "verify": {
         "A_coeff": reldim.A_coeff,
         "qA_coeff": qlinks.qA_coeff,
         "psi_T": qlinks.psi_T,
+        "q_power": qlinks._q_power,
         **_DET_CACHES,
         "bo_numerator": reldim._bo_numerator,
         "general_q_scalar": qlinks._general_q_scalar,

@@ -156,7 +156,7 @@ def parse_signature(text: str) -> Signature:
 
 
 def format_signature(sig: Sequence[int]) -> str:
-    return ",".join(str(x) for x in sig)
+    return ",".join(map(str, sig))
 
 
 def interlaces(lower: Sequence[int], upper: Sequence[int]) -> bool:
@@ -446,10 +446,12 @@ def _q_fraction(q: Rat, num: int, den: int, ea: int, eb: int) -> Rat:
     return Fraction(num, den)
 
 
+# Keyed by q = a/b as two integers: q_dim looks it up once per kappa, and
+# hashing a Fraction key takes a modular inverse on every lookup.
 @lru_cache(maxsize=64)
-def _q_dim_denominator(n: int, q: Rat) -> tuple[int, int, int]:
-    """prod_{i<j<=n} (q^{-i} - q^{-j}) in the form of _q_diff_product."""
-    return _q_diff_product(q, ((-i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+def _q_dim_denominator(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """prod_{i<j<=n} (q^{-i} - q^{-j}) at q = a/b, in the form of _q_diff_product."""
+    return _q_diff_product(Fraction(a, b), ((-i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
 def q_dim(nu: Sequence[int], q) -> Rat:
@@ -459,7 +461,7 @@ def q_dim(nu: Sequence[int], q) -> Rat:
     q = check_q(q)
     x = [v - i for i, v in enumerate(nu, start=1)]
     num, ea, eb = _q_diff_product(q, ((xi, xj) for i, xi in enumerate(x) for xj in x[i + 1 :]))
-    den, da, db = _q_dim_denominator(len(nu), q)
+    den, da, db = _q_dim_denominator(len(nu), q.numerator, q.denominator)
     return _q_fraction(q, num, den, ea - da, eb - db)
 
 

@@ -10,6 +10,7 @@ sums psi^T, and reduces to the first when T = {0, ..., N-K-1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,7 +26,7 @@ from .patterns import (
     q_dim,
     support_box,
 )
-from .reldim import A_coeff, DetContext, LinkRow, coefficient_det
+from .reldim import A_coeff, DetContext, LinkRow, _coefficient_det_parts
 from .schur import h_at_q_powers, schur_bialternant
 
 __all__ = [
@@ -64,6 +65,12 @@ class QDetContext(DetContext):
         return tuple(
             _q_diff_product(self.q, ((aj, ar) for r, ar in enumerate(a) if r != j)) for j, aj in enumerate(a)
         )
+
+    @cached_property
+    def barycentric_lcm(self) -> int:
+        """Least common multiple of the integer parts c of the node products,
+        the one denominator every qA_coeff residue sum is taken over."""
+        return math.lcm(*(c for c, _, _ in self.barycentric))
 
 
 @dataclass(frozen=True)
@@ -110,40 +117,65 @@ def qA_coeff(ctx: QDetContext, i: int, x: int) -> Rat:
 
     The node a_j contributes (1 - q^{N-K}) (q^{a_j+1-x}; q)_{N-K-1} times
     the polynomial part over the node product; every factor is a difference
-    of q-powers, so each term is built in integers and normalised once."""
+    of q-powers, so each term is an integer over the context's
+    barycentric_lcm times powers of a and b, and the sum is normalised once."""
     if not 1 <= i <= ctx.K:
         raise ValueError("coefficient index out of range")
     m, q = ctx.N - ctx.K, ctx.q
-    total = Fraction(0)
+    lcm = ctx.barycentric_lcm
+    terms = []  # (c, ea, eb): the term is c * a^ea * b^eb / lcm at q = a/b
     for aj, (w, wa, wb) in zip(ctx.nodes(), ctx.barycentric):
         if aj < x:
             break
         c, ea, eb = _q_diff_product(q, [(0, s) for s in range(aj + 1 - x, aj - x + m)] + [(0, m)])
         p, pa, pb = _q_poly_part(ctx, i, aj)
-        total += _q_fraction(q, c * p, w, ea + pa - wa, eb + pb - wb)
-    return total
+        terms.append((c * p * (lcm // w), ea + pa - wa, eb + pb - wb))
+    if not terms:
+        return Fraction(0)
+    # shifted to the smallest powers of a and b, the terms add in integers
+    a, b = q.numerator, q.denominator
+    lo_a = min(ea for _, ea, _ in terms)
+    lo_b = min(eb for _, _, eb in terms)
+    total = sum(c * a ** (ea - lo_a) * b ** (eb - lo_b) for c, ea, eb in terms)
+    return _q_fraction(q, total, lcm, lo_a, lo_b)
+
+
+# One power per (q, exponent), keyed by integers, since hashing a Fraction
+# takes a modular inverse on every lookup. The exponent depends on kappa only
+# through |kappa|, so a row of width W at level K needs at most K*W + 1 of
+# them, and its bottom rows revisit each one many times.
+@lru_cache(maxsize=512)
+def _q_power(a: int, b: int, e: int) -> Rat:
+    """(a/b)^e for coprime a, b > 0, in lowest terms."""
+    return Fraction(a**e, b**e) if e >= 0 else Fraction(b**-e, a**-e)
 
 
 def q_prefactor(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
     """(-1)^{K(N-K)} q^{(N-K)|kappa|} q^{-K(N-K)(N+2)/2}."""
     n, k = ctx.N, ctx.K
-    half, odd = divmod(k * (n - k) * (n + 2), 2)
-    if odd:
-        raise ArithmeticError(f"K(N-K)(N+2) is odd for K={k}, N={n}")
-    e = (n - k) * sum(kappa) - half
-    return _q_fraction(ctx.q, (-1) ** (k * (n - k)), 1, e, -e)
+    # K(N-K)(N+2) is always even: N+2 is even for even N, and for odd N one
+    # of K and N-K is even
+    e = (n - k) * sum(kappa) - k * (n - k) * (n + 2) // 2
+    power = _q_power(ctx.q.numerator, ctx.q.denominator, e)
+    return -power if k * (n - k) % 2 else power
 
 
 def q_rel_dim_ratio(ctx: QDetContext, kappa: Sequence[int]) -> Rat:
-    """(q-weighted trapezoid count) / (q-weighted triangular count)."""
-    return q_prefactor(ctx, kappa) * coefficient_det(qA_coeff, ctx, kappa)
+    """(q-weighted trapezoid count) / (q-weighted triangular count): the
+    prefactor times the unreduced determinant, normalised once."""
+    pre = q_prefactor(ctx, kappa)
+    num, den = _coefficient_det_parts(qA_coeff, ctx, kappa)
+    return Fraction(pre.numerator * num, pre.denominator * den)
 
 
 # ---------------------------------------------------------------------------
 # general point subsets via inverse Vandermonde
 
+# The q caches of the oracle routes are keyed by q = a/b as two integers,
+# which hash without the modular inverse a Fraction key takes on every lookup.
 @lru_cache(maxsize=64)
-def _q_nodes_inverse(nu: Signature, q: Rat) -> tuple[tuple[Rat, ...], ...]:
+def _q_nodes_inverse(nu: Signature, a: int, b: int) -> tuple[tuple[Rat, ...], ...]:
+    q = Fraction(a, b)
     return vandermonde_inverse([q ** (v - j) for j, v in enumerate(nu, start=1)])
 
 
@@ -158,10 +190,11 @@ def psi_T(ctx: QDetContext, tspec: TSpec, i: int, x: int) -> Rat:
     # h of negative degree is 0 and the nodes decrease, so the sum stops at
     # the first node below x; the terms share one denominator, normalised once
     num, den = 0, 1
-    for aj, v in zip(ctx.nodes(), _q_nodes_inverse(ctx.nu, ctx.q)[i - 1]):
+    q = ctx.q
+    for aj, v in zip(ctx.nodes(), _q_nodes_inverse(ctx.nu, q.numerator, q.denominator)[i - 1]):
         if aj < x:
             break
-        h = h_at_q_powers(aj - x, tspec.T, ctx.q)
+        h = h_at_q_powers(aj - x, tspec.T, q)
         d = h.denominator * v.denominator
         num = num * d + h.numerator * v.numerator * den
         den *= d
@@ -172,9 +205,11 @@ def psi_T(ctx: QDetContext, tspec: TSpec, i: int, x: int) -> Rat:
 # sweep cycles through the 28 of N = 4 (60 at --max-n 5) for every top row,
 # so 128 entries keep that cycle cached.
 @lru_cache(maxsize=128)
-def _general_q_scalar(n: int, q: Rat, t: tuple) -> Rat:
-    """(-q^N)^{sum T} V(q^{-1..-N}) / V(q^T), in plain Fraction arithmetic."""
-    v_num = vandermonde_det([q**-a for a in range(1, n + 1)])
+def _general_q_scalar(n: int, a: int, b: int, t: tuple) -> Rat:
+    """(-q^N)^{sum T} V(q^{-1..-N}) / V(q^T) at q = a/b, in plain Fraction
+    arithmetic."""
+    q = Fraction(a, b)
+    v_num = vandermonde_det([q**-r for r in range(1, n + 1)])
     return (-(q**n)) ** sum(t) * v_num / vandermonde_det([q**e for e in t])
 
 
@@ -189,7 +224,8 @@ def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat
         raise ValueError("bottom row must have length K")
     sp = tspec.S_prime
     matrix = [[psi_T(ctx, tspec, sp[i], kappa[j] - (j + 1)) for j in range(k)] for i in range(k)]
-    return _general_q_scalar(n, ctx.q, tspec.T) * det(matrix)
+    q = ctx.q
+    return _general_q_scalar(n, q.numerator, q.denominator, tspec.T) * det(matrix)
 
 
 # One weight per (kappa, q, S), whatever the top row. q-oracle asks for one
@@ -198,8 +234,9 @@ def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat
 # so 64 entries hold that cycle. Entries outlive the suite, so the bound is
 # kept to the cycle; a wider sweep misses as if there were no cache.
 @lru_cache(maxsize=64)
-def _schur_weight(kappa: Signature, q: Rat, s: tuple) -> Rat:
-    """s_kappa(q^S) by the bialternant, in plain Fraction arithmetic."""
+def _schur_weight(kappa: Signature, a: int, b: int, s: tuple) -> Rat:
+    """s_kappa(q^S) at q = a/b by the bialternant, in plain Fraction arithmetic."""
+    q = Fraction(a, b)
     return schur_bialternant(kappa, [q**e for e in s])
 
 
@@ -208,7 +245,8 @@ def general_q_projection(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -
     sums to 1 over kappa and reduces to the q-link row for the bottom run
     T = {0, ..., N-K-1}."""
     kappa = check_signature(kappa)
-    return _schur_weight(kappa, ctx.q, tspec.S) * general_q_ratio(ctx, tspec, kappa)
+    q = ctx.q
+    return _schur_weight(kappa, q.numerator, q.denominator, tspec.S) * general_q_ratio(ctx, tspec, kappa)
 
 
 # ---------------------------------------------------------------------------

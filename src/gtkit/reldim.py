@@ -86,6 +86,12 @@ class DetContext:
         a = self.nodes()
         return tuple(math.prod(aj - ar for r, ar in enumerate(a) if r != j) for j, aj in enumerate(a))
 
+    @cached_property
+    def barycentric_lcm(self) -> int:
+        """Least common multiple of the node products, the one denominator
+        every A_coeff residue sum of this context is taken over."""
+        return math.lcm(*self.barycentric)
+
 
 def _poly_part(ctx: DetContext, i: int, y: int) -> int:
     """(y+1)_N / (y+i)_{N-K+1} with the common index ranges cancelled
@@ -113,13 +119,14 @@ def A_coeff(ctx: DetContext, i: int, x: int) -> Rat:
     if not 1 <= i <= ctx.K:
         raise ValueError("coefficient index out of range")
     n, k = ctx.N, ctx.K
-    total = Fraction(0)
+    lcm = ctx.barycentric_lcm
+    total = 0  # the residue sum is total / lcm, normalised once
     for aj, weight in zip(ctx.nodes(), ctx.barycentric):
         if aj < x:
             break  # nodes are decreasing
         rising = math.prod(range(aj - x + 1, aj - x + n - k))  # (aj - x + 1)_{N-K-1}
-        total += Fraction(rising * _poly_part(ctx, i, aj), weight)
-    return (n - k) * total
+        total += rising * _poly_part(ctx, i, aj) * (lcm // weight)
+    return Fraction((n - k) * total, lcm)
 
 
 def A_matrix(ctx: DetContext, kappa: Sequence[int]) -> list[list[Rat]]:
@@ -159,17 +166,23 @@ def _prefix_cofactors(coeff: Callable, ctx, xs: tuple) -> tuple[tuple[int, ...],
     return prefix_cofactors([ints for ints, _ in columns]), math.prod(lcd for _, lcd in columns)
 
 
-def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
-    """det[coeff(ctx, i, kappa_j - j)]_{i,j=1..K}, expanded along the last
-    column: the (K-1)-minors depend only on kappa_1..kappa_{K-1} and are
-    shared between bottom rows, so each kappa costs K integer products."""
+def _coefficient_det_parts(coeff: Callable, ctx, kappa: Sequence[int]) -> tuple[int, int]:
+    """det[coeff(ctx, i, kappa_j - j)]_{i,j=1..K} as an unreduced integer
+    (numerator, positive denominator), expanded along the last column: the
+    (K-1)-minors depend only on kappa_1..kappa_{K-1} and are shared between
+    bottom rows, so each kappa costs K integer products."""
     kappa = check_signature(kappa)
     k = ctx.K
     if len(kappa) != k:
         raise ValueError("bottom row must have length K")
     cofactors, den = _prefix_cofactors(coeff, ctx, tuple(map(operator.sub, kappa[:-1], range(1, k))))
     last, lcd = _cleared_column(coeff, ctx, kappa[-1] - k)
-    return Fraction(sum(map(operator.mul, cofactors, last)), den * lcd)
+    return sum(map(operator.mul, cofactors, last)), den * lcd
+
+
+def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
+    """det[coeff(ctx, i, kappa_j - j)]_{i,j=1..K}, normalised once."""
+    return Fraction(*_coefficient_det_parts(coeff, ctx, kappa))
 
 
 def rel_dim_ratio(ctx: DetContext, kappa: Sequence[int]) -> Rat:

@@ -86,7 +86,7 @@ def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:
     exponents: sum_k q^{j_k m} / prod_{r != k} (1 - q^{j_r - j_k}).
 
     Validated on every call; the value comes from a cache keyed on
-    (m, exponents, q)."""
+    (m, exponents, q.numerator, q.denominator)."""
     if type(q) is not Fraction:
         q = Fraction(q)
     if q.numerator <= 0 or q.numerator == q.denominator:
@@ -94,13 +94,15 @@ def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:
     js = tuple(map(int, exponents))
     if len(set(js)) != len(js):
         raise ValueError("exponents must be distinct")
-    return _h_at_q_powers(m, js, q)
+    return _h_at_q_powers(m, js, q.numerator, q.denominator)
 
 
-# A default general-T sweep asks for 364 distinct (m, T, q); 1024 entries
-# hold them all, with room for wider sweeps.
+# A default general-T sweep asks for 168 distinct (m, T, q); 1024 entries
+# hold them all, with room for wider sweeps. q = a/b is keyed as two
+# integers, which hash without the modular inverse a Fraction key takes.
 @lru_cache(maxsize=1024)
-def _h_at_q_powers(m: int, js: tuple[int, ...], q: Fraction) -> Rat:
+def _h_at_q_powers(m: int, js: tuple[int, ...], a: int, b: int) -> Rat:
+    q = Fraction(a, b)
     if m < 0:
         return Fraction(0)
     if not js:

@@ -44,3 +44,20 @@ def q_points(max_denominator=12):
     return st.integers(2, max_denominator).flatmap(
         lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
     )
+
+
+@st.composite
+def levels(draw, max_n=9, bound=6):
+    """A top row with 2 <= N <= max_n and parts in [-bound, bound], and a
+    level 1 <= K < N."""
+    nu = draw(top_rows(max_n, bound).filter(lambda nu: len(nu) > 1))
+    return nu, draw(st.integers(1, len(nu) - 1))
+
+
+@st.composite
+def wide_qs(draw, max_den=60):
+    """q = a/b with 1 <= a < b <= max_den, the ends a = 1 and a = b - 1 drawn
+    as often as the interior."""
+    b = draw(st.integers(2, max_den))
+    a = draw(st.one_of(st.just(1), st.just(b - 1), st.integers(1, b - 1)))
+    return Fraction(a, b)

@@ -14,7 +14,7 @@ import pytest
 import gtkit.cli
 from gtkit import qlinks, reldim
 from gtkit.cli import _entry, main
-from gtkit.patterns import format_signature, parse_signature
+from gtkit.patterns import format_signature, parse_signature, support_box
 from gtkit.qlinks import q_link_row
 from gtkit.reldim import link_row
 
@@ -437,7 +437,7 @@ def test_row_commands_report_cache_stats_under_timing(capsys):
     code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "11/13")
     assert code == 0
     stats = lines[-1]["timing"]["stats"]
-    assert set(stats) == {"qA_coeff", "prefix_cofactors", "cleared_column"}
+    assert set(stats) == {"qA_coeff", "q_power", "prefix_cofactors", "cleared_column"}
     assert stats["qA_coeff"]["misses"] > 0
     assert all(e.keys() == {"label", "value", "mode", "tolerance"} for e in lines[:-1])
     code, lines, _ = run(capsys, "link", "3,1,0,-2", "--level", "2")
@@ -504,6 +504,7 @@ def test_verify_reports_cache_stats_under_timing(capsys):
         "A_coeff",
         "qA_coeff",
         "psi_T",
+        "q_power",
         "prefix_cofactors",
         "cleared_column",
         "bo_numerator",
@@ -515,6 +516,17 @@ def test_verify_reports_cache_stats_under_timing(capsys):
     # one numerator per (N, K, i, x), shared by every top row
     assert stats["bo_numerator"]["hits"] > stats["bo_numerator"]["misses"]
     assert all("stats" not in e for e in lines[:-1])  # entries, and so digests, stay as they were
+
+
+def test_qlink_kappas_of_equal_size_share_their_q_power(capsys):
+    qlinks._q_power.cache_clear()  # cold, whatever ran before
+    code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "5/7")
+    assert code == 0
+    stats = lines[-1]["timing"]["stats"]["q_power"]
+    # one lookup per kappa of the support box; (2, 0) and (1, 1) have the
+    # same size, so the prefactor exponent of one is a hit for the other
+    assert stats["hits"] + stats["misses"] == sum(1 for _ in support_box((3, 1, 0, -2), 2))
+    assert stats["misses"] > 0 and stats["hits"] >= 1
 
 
 def test_q_oracle_reports_schur_weight_hits(capsys):

@@ -1,13 +1,15 @@
 """q-deformed determinantal counts against the q-weighted enumeration."""
 
+import math
 from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import top_rows, wide_rows
+from strategies import levels, top_rows, wide_qs, wide_rows
 
+from gtkit import qlinks, reldim
 from gtkit.linalg import det, vandermonde_inverse
 from gtkit.patterns import q_dim, q_dim_oracle, q_rel_dim_oracle, support_box
 from gtkit.qlinks import (
@@ -22,7 +24,7 @@ from gtkit.qlinks import (
     q_to_1_check,
     qA_coeff,
 )
-from gtkit.reldim import DetContext, _cleared_column
+from gtkit.reldim import A_coeff, DetContext, _cleared_column, bo_coefficient, coefficient_det
 from gtkit.schur import h_at_q_powers
 
 Q = F(1, 2)
@@ -179,15 +181,6 @@ def test_q_ratio_equals_prefactor_times_det_wide_rows(case, q):
 
 
 @st.composite
-def wide_qs(draw, max_den=60):
-    """q = a/b with 1 <= a < b <= max_den, the ends a = 1 and a = b - 1 drawn
-    as often as the interior."""
-    b = draw(st.integers(2, max_den))
-    a = draw(st.one_of(st.just(1), st.just(b - 1), st.integers(1, b - 1)))
-    return F(a, b)
-
-
-@st.composite
 def rows_with_level(draw):
     """A top row with N <= 5 and parts in [-4, 4], and a level 1 <= K < N
     (None when N = 1)."""
@@ -243,3 +236,92 @@ def test_psi_T_equals_the_sum_over_every_node(case, data):
     inv = vandermonde_inverse([q**a for a in nodes])
     full = sum(h_at_q_powers(a - x, tspec.T, q) * inv[i - 1][j] for j, a in enumerate(nodes))
     assert psi_T(ctx, tspec, i, x) == full
+
+
+def _per_node_qa_coeff(nu, k, q, i, x):
+    """qA_i(x) as a sum of one normalised Fraction per node, each term taken
+    in plain Fraction arithmetic: (1 - q^{N-K}) prod (1 - q^s) times the
+    cancelled polynomial part prod (q^{a_j} - q^{-r}), over the node product
+    prod_{r != j} (q^{a_j} - q^{a_r})."""
+    n, m = len(nu), len(nu) - k
+    nodes = [v - j for j, v in enumerate(nu, start=1)]
+    total = F(0)
+    for aj in nodes:
+        if aj >= x:
+            term = math.prod((1 - q**s for s in range(aj + 1 - x, aj - x + m)), start=1 - q**m)
+            term *= math.prod(q**aj - q**-r for r in range(1, n + 1) if not i <= r <= n - k + i)
+            total += term / math.prod(q**aj - q**ar for ar in nodes if ar != aj)
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(levels(max_n=7, bound=6), wide_qs())
+@example(((6, 6, -6, -6), 2), F(1, 60))
+@example(((6, 6, -6, -6), 2), F(59, 60))
+def test_qa_coeff_equals_the_per_node_fraction_sum(case, q):
+    nu, k = case
+    ctx = QDetContext(k, nu, q)
+    nodes = ctx.nodes()
+    for i in range(1, k + 1):
+        for x in range(nodes[-1] - 2, nodes[0] + 2):
+            assert qA_coeff(ctx, i, x) == _per_node_qa_coeff(nu, k, q, i, x), (i, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_rows(max_n=8, bound=6), wide_qs())
+def test_q_ratio_is_prefactor_times_coefficient_det(case, q):
+    nu, k, kappas = case
+    ctx = QDetContext(k, nu, q)
+    for kappa in kappas:
+        want = q_prefactor(ctx, kappa) * coefficient_det(qA_coeff, ctx, kappa)
+        assert q_rel_dim_ratio(ctx, kappa) == want, kappa
+
+
+def _signed_power(nu, k, q, kappa):
+    """(-1)^{K(N-K)} q^{(N-K)|kappa| - K(N-K)(N+2)/2} by Fraction.__pow__."""
+    n = len(nu)
+    return (-1) ** (k * (n - k)) * q ** ((n - k) * sum(kappa) - k * (n - k) * (n + 2) // 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(levels(max_n=12, bound=6), wide_qs(), st.data())
+def test_q_prefactor_is_the_signed_power(case, q, data):
+    nu, k = case
+    ctx = QDetContext(k, nu, q)
+    # parts up to 30 either way give exponents of both signs
+    parts = data.draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k), label="kappa")
+    kappa = tuple(sorted(parts, reverse=True))
+    assert q_prefactor(ctx, kappa) == _signed_power(nu, k, q, kappa)
+
+
+def test_q_prefactor_exponents_of_each_sign():
+    # N = 4, K = 2: the exponent is 2|kappa| - 12
+    nu, k, q = (3, 2, 1, 0), 2, F(2, 5)
+    ctx = QDetContext(k, nu, q)
+    for kappa, e in [((-3, -4), -26), ((3, 2), -2), ((3, 3), 0), ((9, 0), 6)]:
+        assert q_prefactor(ctx, kappa) == q**e == _signed_power(nu, k, q, kappa)
+
+
+def test_oracle_routes_use_none_of_the_integer_sum_helpers(monkeypatch):
+    # the lcm of the node products, the unreduced determinant and the q-power
+    # cache belong to the determinantal path; the routes it is checked
+    # against must not call them
+    def forbidden(*args):
+        raise AssertionError("an oracle route called a helper of the determinantal path")
+
+    for cls in (DetContext, QDetContext):
+        monkeypatch.setattr(cls, "barycentric_lcm", property(forbidden))
+    monkeypatch.setattr(qlinks, "_q_power", forbidden)
+    monkeypatch.setattr(qlinks, "_coefficient_det_parts", forbidden)
+    monkeypatch.setattr(reldim, "_coefficient_det_parts", forbidden)
+    nu, k, kappa, q = (3, 1, 0, -2), 2, (1, 0), F(7, 19)  # a q no other test uses
+    ctx, qctx = DetContext(k, nu), QDetContext(k, nu, q)
+    xs = range(nu[-1] - k - 1, nu[0] + 1)
+    bo = [bo_coefficient(ctx, i, x) for i in (1, 2) for x in xs]
+    general = general_q_ratio(qctx, TSpec(4, 2, (0, 1)), kappa)  # the bottom run T
+    chains, triangles = q_rel_dim_oracle(kappa, nu, q), q_dim_oracle(nu, q)
+    monkeypatch.undo()
+    assert bo == [A_coeff(ctx, i, x) for i in (1, 2) for x in xs]
+    # at the bottom run the ratios differ by q^{(N-K)|kappa|}
+    assert q ** (2 * sum(kappa)) * general == q_rel_dim_ratio(qctx, kappa)
+    assert chains == q_rel_dim_ratio(qctx, kappa) * triangles

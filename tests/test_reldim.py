@@ -1,11 +1,12 @@
 """The three determinantal routes for relative counts, against enumeration."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import top_rows, wide_rows
+from strategies import levels, top_rows, wide_rows
 
 from gtkit import reldim
 from gtkit.linalg import det
@@ -260,3 +261,30 @@ def test_bo_numerator_that_is_not_integral_raises(monkeypatch):
             bo_coefficient(DetContext(1, (2, 1, 0)), 1, 0)
     finally:
         reldim._bo_numerator.cache_clear()
+
+
+def _per_node_a_coeff(nu, k, i, x):
+    """A_i(x) as a sum of one normalised Fraction per node, with the node
+    product and the cancelled polynomial part (y+1)_N / (y+i)_{N-K+1}
+    written out directly."""
+    n = len(nu)
+    nodes = [v - j for j, v in enumerate(nu, start=1)]
+    total = F(0)
+    for aj in nodes:
+        if aj >= x:
+            rising = math.prod(range(aj - x + 1, aj - x + n - k))
+            poly = math.prod(aj + r for r in range(1, n + 1) if not i <= r <= n - k + i)
+            total += F(rising * poly, math.prod(aj - ar for ar in nodes if ar != aj))
+    return (n - k) * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(levels(max_n=9, bound=6))
+def test_a_coeff_equals_the_per_node_fraction_sum(case):
+    nu, k = case
+    ctx = DetContext(k, nu)
+    nodes = ctx.nodes()
+    # every i, and x from below the last node to above the first
+    for i in range(1, k + 1):
+        for x in range(nodes[-1] - 3, nodes[0] + 2):
+            assert A_coeff(ctx, i, x) == _per_node_a_coeff(nu, k, i, x), (i, x)
