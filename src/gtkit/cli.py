@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import islice
 
 from . import qlinks, reldim, schur
-from .patterns import BudgetExceededError, dim_product, format_signature, parse_signature
+from .patterns import BudgetExceededError, check_q, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, LinkRow, link_row, rel_dim_ratio
 from .verify import SUITES, bench_table, ignored_bounds, run_suite, uat_table
@@ -141,11 +141,26 @@ def _sig(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _rational(text: str) -> Fraction:
+def _q(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {err}") from None
+    try:
+        return check_q(q)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+class _DistinctQs(argparse.Action):
+    """Collects verify's repeatable --q; a value given twice would run every
+    case twice, so it is an error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        qs = getattr(namespace, self.dest) or []
+        if value in qs:
+            raise argparse.ArgumentError(self, f"q = {value} given twice")
+        setattr(namespace, self.dest, [*qs, value])
 
 
 def _tolerance(text: str) -> float:
@@ -201,13 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qlink", help="full q-deformed link row")
     p.add_argument("nu", type=_sig)
     p.add_argument("--level", type=int, required=True, metavar="K")
-    p.add_argument("--q", type=_rational, required=True, metavar="p/r")
+    p.add_argument("--q", type=_q, required=True, metavar="p/r")
 
     p = sub.add_parser("verify", help="run a verification suite against the oracles")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--part-bound", type=_nonnegative, dest="part_bound")
-    p.add_argument("--q", type=_rational, action="append", dest="qs", metavar="p/r")
+    p.add_argument("--q", type=_q, action=_DistinctQs, dest="qs", metavar="p/r")
     p.add_argument("--tolerance", type=_tolerance)
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=_nonnegative)

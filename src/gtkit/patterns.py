@@ -446,6 +446,18 @@ def _q_fraction(q: Rat, num: int, den: int, ea: int, eb: int) -> Rat:
     return Fraction(num, den)
 
 
+def _q_sum(q: Rat, terms: Sequence[tuple[int, int, int]], den: int) -> Rat:
+    """sum c * a^ea * b^eb / den over the (c, ea, eb) terms at q = a/b, added in
+    integers after a shift to the smallest powers of a and b, normalised once."""
+    if not terms:
+        return Fraction(0)
+    a, b = q.numerator, q.denominator
+    lo_a = min(ea for _, ea, _ in terms)
+    lo_b = min(eb for _, _, eb in terms)
+    total = sum(c * a ** (ea - lo_a) * b ** (eb - lo_b) for c, ea, eb in terms)
+    return _q_fraction(q, total, den, lo_a, lo_b)
+
+
 # Keyed by q = a/b as two integers: q_dim looks it up once per kappa, and
 # hashing a Fraction key takes a modular inverse on every lookup.
 @lru_cache(maxsize=64)

@@ -20,7 +20,7 @@ from .linalg import Rat, RatLike, det, vandermonde_det, vandermonde_inverse
 from .patterns import (
     Signature,
     _q_diff_product,
-    _q_fraction,
+    _q_sum,
     check_q,
     check_signature,
     q_dim,
@@ -130,14 +130,7 @@ def qA_coeff(ctx: QDetContext, i: int, x: int) -> Rat:
         c, ea, eb = _q_diff_product(q, [(0, s) for s in range(aj + 1 - x, aj - x + m)] + [(0, m)])
         p, pa, pb = _q_poly_part(ctx, i, aj)
         terms.append((c * p * (lcm // w), ea + pa - wa, eb + pb - wb))
-    if not terms:
-        return Fraction(0)
-    # shifted to the smallest powers of a and b, the terms add in integers
-    a, b = q.numerator, q.denominator
-    lo_a = min(ea for _, ea, _ in terms)
-    lo_b = min(eb for _, _, eb in terms)
-    total = sum(c * a ** (ea - lo_a) * b ** (eb - lo_b) for c, ea, eb in terms)
-    return _q_fraction(q, total, lcm, lo_a, lo_b)
+    return _q_sum(q, terms, lcm)
 
 
 # One power per (q, exponent), keyed by integers, since hashing a Fraction

@@ -4,7 +4,8 @@ The boundary of the q-weighted chain is indexed by nondecreasing integer
 sequences n that are eventually constant; for those, every infinite
 q-Pochhammer ratio appearing in the contour formulas collapses to a rational
 function, and the contour integrals become exact finite residue sums over
-poles z = q^{-m}. All arithmetic stays in Fraction.
+poles z = q^{-m}, each added in integers over one lcm and normalised once
+by patterns._q_sum, the step that also ends qA_coeff.
 
 Orientation note: the residue sums in this family are taken with the
 opposite sign to the finite-top-row family; that choice is forced by the
@@ -14,12 +15,13 @@ finite-N ratios, which are anchored to the enumeration oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import Rat, RatLike, det, poly_add, poly_eval, poly_mul, poly_scale
-from .patterns import check_q, check_signature
+from .linalg import Rat, RatLike, det, poly_add, poly_mul, poly_scale
+from .patterns import _q_diff_product, _q_sum, check_q, check_signature
 
 __all__ = [
     "BoundarySeq",
@@ -72,36 +74,39 @@ class BoundarySeq:
         return ",".join(str(v) for v in self.head) + ";" + str(self.tail)
 
 
-def _residue_sum(num_poly, den_exponents: Sequence[int], max_exponent: int, q: Rat) -> Rat:
-    """Signed residue sum of num_poly(z) / prod_e (1 - z q^e) over the poles
-    z = q^{-e} with e <= max_exponent (this family's orientation)."""
-    total = Fraction(0)
-    exps = list(den_exponents)
-    for s, e in enumerate(exps):
-        if e > max_exponent:
-            continue
-        z0 = q**-e
-        denom = Fraction(1)
-        for t, e2 in enumerate(exps):
-            if t != s:
-                denom *= 1 - q ** (e2 - e)
-        total += poly_eval(num_poly, z0) * z0 / denom
-    return total
+def _residue_sum(
+    q: Rat, poles: Sequence[int], top: int, zeros: Sequence[int] = (), phi: Sequence[RatLike] = (1,)
+) -> Rat:
+    """Signed residue sum of phi(z) prod_{s in zeros} (1 - z q^s) / prod_{e in
+    poles} (1 - z q^e) over the distinct poles z = q^{-e}, e <= top (this
+    family's orientation). There every factor is a q-power difference, and
+    phi is scaled to integers over the lcm d of its denominators, so all the
+    terms are integers over one lcm, summed once by _q_sum."""
+    phi = [Fraction(c) for c in phi]
+    d = math.lcm(*(c.denominator for c in phi))
+    phi = [c.numerator * (d // c.denominator) for c in phi]
+    summed = [e for e in poles if e <= top]
+    dens = [_q_diff_product(q, ((0, e2 - e) for e2 in poles if e2 != e)) for e in summed]
+    lcm = d * math.lcm(*(w for w, _, _ in dens))
+    terms = []  # (c, ea, eb): the term is c * a^ea * b^eb / lcm at q = a/b
+    for e, (w, wa, wb) in zip(summed, dens):
+        c, ea, eb = _q_diff_product(q, ((0, s - e) for s in zeros))
+        c *= lcm // (d * w)
+        # phi_{k-1} z^k at z = q^{-e} = a^{-e} b^e
+        terms += [(c * p, ea - wa - e * k, eb - wb + e * k) for k, p in enumerate(phi, 1) if p]
+    return _q_sum(q, terms, lcm)
 
 
-def _qpoch_poly(exponents: Iterable[int], q: Rat) -> tuple:
-    """prod_{s in exponents} (1 - z q^s) as a polynomial in z."""
-    out: tuple = (Fraction(1),)
-    for s in exponents:
-        out = poly_mul(out, (Fraction(1), -(q**s)))
-    return out
-
-
-def _reduced_ratio(s0: int, n: BoundarySeq, q: Rat) -> tuple[tuple, list]:
-    """(z q^{s0}; q)_inf / (z; q | n)_inf as (numerator poly, denominator
-    exponent list); the infinite tails cancel against each other."""
+def _reduced_zeros(s0: int, n: BoundarySeq) -> tuple[list, list]:
+    """(z q^{s0}; q)_inf / (z; q | n)_inf as (zero exponents, pole exponents);
+    the infinite tails cancel against each other."""
     ts = n.tail_start
-    return _qpoch_poly(range(s0, ts), q), n.head_pole_exponents() + list(range(ts, s0))
+    return list(range(s0, ts)), n.head_pole_exponents() + list(range(ts, s0))
+
+
+def _b_exponent(x: int, i: int) -> int:
+    """(x-i+1)(x+i-2)/2: the factors sum to 2x-1, which is odd, so one is even."""
+    return (x - i + 1) * (x + i - 2) // 2
 
 
 def qA_infinity(x: int, K: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
@@ -111,9 +116,8 @@ def qA_infinity(x: int, K: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
     q = check_q(q)
     if not 1 <= i <= K:
         raise ValueError("coefficient index out of range")
-    num, den = _reduced_ratio(x + K + 1, n, q)
-    num = poly_mul(num, _qpoch_poly(range(K - i), q))
-    return q ** (x + K) * _residue_sum(num, den, x + K, q)
+    zeros, poles = _reduced_zeros(x + K + 1, n)
+    return q ** (x + K) * _residue_sum(q, poles, x + K, zeros + list(range(K - i)))
 
 
 def q_ratio_infinity(kappa: Sequence[int], K: int, n: BoundarySeq, q: RatLike) -> Rat:
@@ -133,12 +137,8 @@ def B_entry(x: int, i: int, n: BoundarySeq, q: RatLike) -> Rat:
     q = check_q(q)
     if i < 1:
         raise ValueError("column index starts at 1")
-    num, den = _reduced_ratio(x, n, q)
-    num = poly_mul(num, _qpoch_poly(range(i - 1), q))
-    exp2 = (x - i + 1) * (x + i - 2)
-    if exp2 % 2:
-        raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
-    return q ** (exp2 // 2) * _residue_sum(num, den, x - 1, q)
+    zeros, poles = _reduced_zeros(x, n)
+    return q ** _b_exponent(x, i) * _residue_sum(q, poles, x - 1, zeros + list(range(i - 1)))
 
 
 def B_entry_via_qA(x: int, i: int, n: BoundarySeq, q: RatLike, K: int) -> Rat:
@@ -147,10 +147,7 @@ def B_entry_via_qA(x: int, i: int, n: BoundarySeq, q: RatLike, K: int) -> Rat:
     if not 1 <= i <= K:
         raise ValueError("need 1 <= i <= K")
     q = check_q(q)
-    exp2 = (x - i) * (x + i - 3)
-    if exp2 % 2:
-        raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
-    return qA_infinity(x - K - 1, K, K + 1 - i, n, q) * q ** (exp2 // 2)
+    return qA_infinity(x - K - 1, K, K + 1 - i, n, q) * q ** _b_exponent(x - 1, i)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +171,7 @@ def coeff_extract(phi: Sequence[RatLike], l: int, q: RatLike) -> Rat:
     q = check_q(q)
     if l < 0:
         raise ValueError("index must be nonnegative")
-    phi = tuple(Fraction(c) for c in phi)
-    return q ** (l * (l + 1) // 2) * _residue_sum(phi, list(range(l + 1)), l, q)
+    return q ** (l * (l + 1) // 2) * _residue_sum(q, range(l + 1), l, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -200,8 +196,9 @@ def b_generating_check(n: BoundarySeq, q: RatLike) -> GeneratingCheck:
     q = check_q(q)
     if n.value(1) < 0:
         raise ValueError("generating identity needs n_1 >= 0")
-    head = set(n.head_pole_exponents())
-    rhs = _qpoch_poly([s for s in range(n.tail_start) if s not in head], q)
+    rhs: tuple = (Fraction(1),)
+    for s in sorted(set(range(n.tail_start)).difference(n.head_pole_exponents())):
+        rhs = poly_mul(rhs, (Fraction(1), -(q**s)))
     coeffs = [B_entry(l + 1, 1, n, q) for l in range(n.tail + 1)]
     lhs = basis_from_coeffs(coeffs, q)
     first_mismatch = None
@@ -226,9 +223,6 @@ def qtoeplitz_solve(coeffs: Sequence[RatLike], q: RatLike, x: int, i: int) -> Ra
     if x < 1 or i < 1:
         raise ValueError("grid starts at x = i = 1")
     phi = basis_from_coeffs(coeffs, q)
-    exp2 = (x - i + 1) * (x + i - 2)
-    if exp2 % 2:
-        raise ArithmeticError(f"odd q-exponent {exp2} for x={x}, i={i}")
     if x < i:
         return Fraction(0)
-    return q ** (exp2 // 2) * _residue_sum(phi, list(range(i - 1, x)), x - 1, q)
+    return q ** _b_exponent(x, i) * _residue_sum(q, range(i - 1, x), x - 1, phi=phi)

@@ -204,31 +204,32 @@ def suite_general_t(
     qs = tuple(Fraction(q) for q in qs)
     out = []
     # s_kappa(q^S) of the mass check, per (kappa, q, S): it does not depend
-    # on the top row, so the rows of one sweep share a few hundred values
+    # on the top row, so the rows of one sweep share a few hundred values.
+    # q enters the key by its position in qs, as hashing a Fraction takes a
+    # modular inverse on every lookup.
     mass_weights: dict = {}
     for n in range(2, max_n + 1):
         case = _Case("general-T", f"N={n} parts [{-part_bound},{part_bound}] q={','.join(map(str, qs))}")
         # one TSpec per (K, T), shared by every top row and q
         tspecs = {k: [TSpec(n, k, t) for t in itertools.combinations(range(n), n - k)] for k in range(1, n)}
         for nu in all_signatures(n, -part_bound, part_bound):
-            denom = {q: schur_bialternant(nu, [q**e for e in range(n)]) for q in qs}
+            denoms = [schur_bialternant(nu, [q**e for e in range(n)]) for q in qs]
             for k in range(1, n):
                 boxes = [(kappa, skew_profile(kappa, nu, budget)) for kappa in support_box(nu, k)]
-                ctxs = {q: QDetContext(k, nu, q) for q in qs}
+                ctxs = [QDetContext(k, nu, q) for q in qs]
                 for tspec in tspecs[k]:
                     t_set = tspec.T
-                    for q in qs:
-                        ctx = ctxs[q]
+                    for iq, (q, ctx, denom) in enumerate(zip(qs, ctxs, denoms)):
                         mass = Fraction(0)
                         for kappa, profile in boxes:
                             formula = general_q_ratio(ctx, tspec, kappa)
-                            oracle = profile_at_q_powers(profile, t_set, q) / denom[q]
+                            oracle = profile_at_q_powers(profile, t_set, q) / denom
                             case.expect(
                                 formula,
                                 oracle,
                                 lambda: f"nu={_fmt(nu)} K={k} T={t_set} q={q} kappa={_fmt(kappa)}",
                             )
-                            key = (kappa, q, tspec.S)
+                            key = (kappa, iq, tspec.S)
                             if key not in mass_weights:
                                 mass_weights[key] = schur_bialternant(kappa, [q**s for s in tspec.S])
                             mass += mass_weights[key] * formula

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from gtkit.qtoeplitz import BoundarySeq
+
 
 @st.composite
 def wide_rows(draw, max_n=12, bound=15, max_k=4):
@@ -61,3 +63,13 @@ def wide_qs(draw, max_den=60):
     b = draw(st.integers(2, max_den))
     a = draw(st.one_of(st.just(1), st.just(b - 1), st.integers(1, b - 1)))
     return Fraction(a, b)
+
+
+@st.composite
+def boundary_seqs(draw, max_head=4, lo=-3, hi=5):
+    """A BoundarySeq with a nondecreasing head of 0..max_head parts in
+    [lo, hi] and a tail constant in [head[-1], hi], or in [lo, hi] when the
+    head is empty."""
+    head = sorted(draw(st.lists(st.integers(lo, hi), max_size=max_head)))
+    tail = draw(st.integers(head[-1] if head else lo, hi))
+    return BoundarySeq(tuple(head), tail)

@@ -395,6 +395,25 @@ def test_tolerance_that_is_not_positive_and_finite_is_an_argparse_error(capsys, 
     assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "general-T", "--q", "1"], "q must satisfy 0 < q < 1, got 1"),
+        (["qlink", "1,0", "--level", "1", "--q", "0"], "q must satisfy 0 < q < 1, got 0"),
+        (["verify", "general-T", "--q", "1/2", "--q", "2/4"], "q = 1/2 given twice"),
+    ],
+)
+def test_q_out_of_range_or_repeated_is_an_argparse_error(capsys, monkeypatch, argv, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite ran on a --q that parsing should refuse")
+
+    monkeypatch.setattr(gtkit.cli, "run_suite", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_quadrature_that_does_not_converge_exits_2(capsys):
     code, lines, err = run(capsys, "verify", "boundary", "--tolerance", "1e-300")
     assert code == 2

@@ -307,13 +307,14 @@ def test_profile_at_q_powers_counts_each_trapezoid_once():
 
 
 def test_oracles_share_no_q_power_helper(monkeypatch):
-    # q_dim and the q-link path build their values with _q_diff_product and
-    # _q_fraction; the oracles they are checked against must not
+    # q_dim and the q-link path build their values with _q_diff_product,
+    # _q_fraction and _q_sum; the oracles they are checked against must not
     def forbidden(*args):
         raise AssertionError("an oracle called a q-power helper of the determinantal path")
 
     monkeypatch.setattr(gtkit.patterns, "_q_diff_product", forbidden)
     monkeypatch.setattr(gtkit.patterns, "_q_fraction", forbidden)
+    monkeypatch.setattr(gtkit.patterns, "_q_sum", forbidden)
     q = F(2, 3)
     assert q_dim_oracle((2, 1, -1), q) == F(4009, 486)
     assert q_rel_dim_oracle((1, 0), (2, 1, -1), q) == F(2, 3)

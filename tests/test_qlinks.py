@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import levels, top_rows, wide_qs, wide_rows
 
-from gtkit import qlinks, reldim
+from gtkit import patterns, qlinks, reldim
 from gtkit.linalg import det, vandermonde_inverse
 from gtkit.patterns import q_dim, q_dim_oracle, q_rel_dim_oracle, support_box
 from gtkit.qlinks import (
@@ -303,15 +303,17 @@ def test_q_prefactor_exponents_of_each_sign():
 
 
 def test_oracle_routes_use_none_of_the_integer_sum_helpers(monkeypatch):
-    # the lcm of the node products, the unreduced determinant and the q-power
-    # cache belong to the determinantal path; the routes it is checked
-    # against must not call them
+    # the lcm of the node products, the integer residue sum, the unreduced
+    # determinant and the q-power cache belong to the determinantal path; the
+    # routes it is checked against must not call them
     def forbidden(*args):
         raise AssertionError("an oracle route called a helper of the determinantal path")
 
     for cls in (DetContext, QDetContext):
         monkeypatch.setattr(cls, "barycentric_lcm", property(forbidden))
     monkeypatch.setattr(qlinks, "_q_power", forbidden)
+    monkeypatch.setattr(qlinks, "_q_sum", forbidden)
+    monkeypatch.setattr(patterns, "_q_sum", forbidden)
     monkeypatch.setattr(qlinks, "_coefficient_det_parts", forbidden)
     monkeypatch.setattr(reldim, "_coefficient_det_parts", forbidden)
     nu, k, kappa, q = (3, 1, 0, -2), 2, (1, 0), F(7, 19)  # a q no other test uses

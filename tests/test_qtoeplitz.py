@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import boundary_seqs, wide_qs
 
-from gtkit.linalg import poly_eval
+from gtkit.linalg import poly_eval, poly_mul
 from gtkit.qtoeplitz import (
     B_entry,
     B_entry_via_qA,
@@ -159,3 +160,87 @@ def test_q_validation():
         B_entry(2, 1, ONES, F(3, 2))
     with pytest.raises(ValueError):
         qA_infinity(0, 2, 3, ONES, Q)
+
+
+# The Fraction-polynomial route the integer residue core replaced, kept as a
+# reference: the numerator is built as a polynomial in z and evaluated at each
+# pole, normalising at every step.
+
+
+def _poly_residue_sum(num_poly, den_exponents, max_exponent, q):
+    total = F(0)
+    for s, e in enumerate(den_exponents):
+        if e > max_exponent:
+            continue
+        z0 = q**-e
+        denom = F(1)
+        for t, e2 in enumerate(den_exponents):
+            if t != s:
+                denom *= 1 - q ** (e2 - e)
+        total += poly_eval(num_poly, z0) * z0 / denom
+    return total
+
+
+def _qpoch_poly(exponents, q):
+    out = (F(1),)
+    for s in exponents:
+        out = poly_mul(out, (F(1), -(q**s)))
+    return out
+
+
+def _poly_reduced(s0, n, q):
+    ts = n.tail_start
+    return _qpoch_poly(range(s0, ts), q), n.head_pole_exponents() + list(range(ts, s0))
+
+
+def ref_qA_infinity(x, K, i, n, q):
+    num, den = _poly_reduced(x + K + 1, n, q)
+    num = poly_mul(num, _qpoch_poly(range(K - i), q))
+    return q ** (x + K) * _poly_residue_sum(num, den, x + K, q)
+
+
+def ref_B_entry(x, i, n, q):
+    num, den = _poly_reduced(x, n, q)
+    num = poly_mul(num, _qpoch_poly(range(i - 1), q))
+    return q ** ((x - i + 1) * (x + i - 2) // 2) * _poly_residue_sum(num, den, x - 1, q)
+
+
+def ref_coeff_extract(phi, l, q):
+    return q ** (l * (l + 1) // 2) * _poly_residue_sum(tuple(map(F, phi)), list(range(l + 1)), l, q)
+
+
+def ref_qtoeplitz_solve(coeffs, q, x, i):
+    if x < i:
+        return F(0)
+    phi = basis_from_coeffs(coeffs, q)
+    return q ** ((x - i + 1) * (x + i - 2) // 2) * _poly_residue_sum(phi, list(range(i - 1, x)), x - 1, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_seqs(), wide_qs(), st.integers(-4, 6), st.integers(1, 4), st.data())
+def test_qA_infinity_matches_the_polynomial_route(n, q, x, K, data):
+    i = data.draw(st.integers(1, K))
+    assert qA_infinity(x, K, i, n, q) == ref_qA_infinity(x, K, i, n, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_seqs(), wide_qs(), st.integers(-2, 7), st.integers(1, 6))
+def test_B_entry_matches_the_polynomial_route(n, q, x, i):
+    assert B_entry(x, i, n, q) == ref_B_entry(x, i, n, q)
+
+
+wide_coeff_lists = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_coeff_lists, wide_qs(), st.integers(0, 7))
+def test_coeff_extract_matches_the_polynomial_route(phi, q, l):
+    assert coeff_extract(phi, l, q) == ref_coeff_extract(phi, l, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_coeff_lists, wide_qs(), st.integers(1, 7), st.integers(1, 7))
+def test_qtoeplitz_solve_matches_the_polynomial_route(coeffs, q, x, i):
+    assert qtoeplitz_solve(coeffs, q, x, i) == ref_qtoeplitz_solve(coeffs, q, x, i)
