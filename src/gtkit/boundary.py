@@ -13,16 +13,19 @@ half-integer-shifted Frobenius-type coordinates divided by N; the drift of
 an embedded point is always exactly zero, so embedded points always support
 exact mode.
 
-numpy is imported inside the float paths only (the quadrature, phi_eval at a
-float or complex point, the numeric minor determinant), so exact work never
-loads it.
+The float paths (the quadrature, phi_eval at a float or complex point, the
+numeric minor determinant) run on the standard library: cmath and math for
+the quadrature, and the exact determinant of the float entries, rounded once,
+for the minor.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .linalg import Rat, det, poly_coeff, poly_divmod, poly_eval, poly_mul
@@ -89,11 +92,15 @@ def phi_eval(omega: OmegaPoint, u):
     if u == 0:
         raise PoleError("u = 0 is an essential singularity direction")
     if not exact:
-        import numpy as np
-
-        # a float pole or overflow raises an ArithmeticError, not a nan
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return complex(_phi_complex(omega, u))
+        # a float pole raises ZeroDivisionError; an overflow, or any other
+        # value that is not finite, raises OverflowError instead of a nan
+        try:
+            value = _phi_complex(omega)(u)
+        except ValueError as exc:  # cmath's domain error at an infinite argument
+            raise OverflowError(f"Phi({u}) overflows in floating point") from exc
+        if not cmath.isfinite(value):
+            raise OverflowError(f"Phi({u}) is {value} in floating point")
+        return value
     out = Fraction(1)
     for b in omega.beta_plus:
         out *= 1 + b * (u - 1)
@@ -180,17 +187,19 @@ class QuadratureError(ArithmeticError):
 
 
 def _circle_means(integrands, tolerance: float, max_points: int) -> list[float]:
-    """Real parts of the means of integrands(us) over m midpoint nodes of the
-    unit circle, m doubling from 64 until no mean moves by `tolerance`."""
+    """Real parts of the means of integrands(us) over m midpoint nodes us of
+    the unit circle, m doubling from 64 until no mean moves by `tolerance`.
+
+    integrands(us) yields one list of complex values per mean, each value at
+    the node of the same position in us.
+    """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"quadrature tolerance must be positive and finite, got {tolerance}")
-    import numpy as np
-
     m = 64
     prev = None
     while m <= max_points:
-        theta = 2 * np.pi * (np.arange(m) + 0.5) / m
-        current = [complex(np.mean(vals)).real for vals in integrands(np.exp(1j * theta))]
+        us = [cmath.exp(1j * (2 * math.pi * (k + 0.5) / m)) for k in range(m)]
+        current = [math.fsum(map(attrgetter("real"), vals)) / m for vals in integrands(us)]
         if prev is not None and max(abs(a - b) for a, b in zip(current, prev)) < tolerance:
             return current
         prev = current
@@ -239,32 +248,45 @@ def phi_coeffs(
     if mode != "numeric":
         raise ValueError("mode must be 'exact' or 'numeric'")
     ns = range(n_min, n_max + 1)
+    phi = _phi_complex(omega)
 
     def integrands(us):
-        vals = _phi_complex(omega, us)
-        return [vals * us ** (-n) for n in ns]
+        # Phi(u) u^{-n} for n = n_min .. n_max: each list is the one before
+        # it times 1/u, node by node
+        invs = [1 / u for u in us]
+        vals = [phi(u) * u**-n_min for u in us]
+        yield vals
+        for _ in ns[1:]:
+            vals = list(map(mul, vals, invs))
+            yield vals
 
     means = _circle_means(integrands, tolerance, max_points)
     return LaurentWindow(n_min, n_max, dict(zip(ns, means)), "numeric", tolerance)
 
 
-def _phi_complex(omega: OmegaPoint, us):
-    """Phi in floating point at each of the complex points `us` (a numpy
-    array, or one complex number)."""
-    import numpy as np
+def _phi_complex(omega: OmegaPoint):
+    """Phi(.; omega) in floating point, as a function of one complex point u
+    that takes the coordinates as floats converted once. A pole raises
+    ZeroDivisionError; an overflow may leave an inf or a nan."""
+    gamma_plus, gamma_minus = float(omega.gamma_plus), float(omega.gamma_minus)
+    beta_plus = [float(b) for b in omega.beta_plus]
+    beta_minus = [float(b) for b in omega.beta_minus]
+    alpha_plus = [float(a) for a in omega.alpha_plus]
+    alpha_minus = [float(a) for a in omega.alpha_minus]
 
-    out = np.exp(
-        float(omega.gamma_plus) * (us - 1) + float(omega.gamma_minus) * (1 / us - 1)
-    )
-    for b in omega.beta_plus:
-        out = out * (1 + float(b) * (us - 1))
-    for b in omega.beta_minus:
-        out = out * (1 + float(b) * (1 / us - 1))
-    for a in omega.alpha_plus:
-        out = out / (1 - float(a) * (us - 1))
-    for a in omega.alpha_minus:
-        out = out / (1 - float(a) * (1 / us - 1))
-    return out
+    def phi(u: complex) -> complex:
+        out = cmath.exp(gamma_plus * (u - 1) + gamma_minus * (1 / u - 1))
+        for b in beta_plus:
+            out *= 1 + b * (u - 1)
+        for b in beta_minus:
+            out *= 1 + b * (1 / u - 1)
+        for a in alpha_plus:
+            out /= 1 - a * (u - 1)
+        for a in alpha_minus:
+            out /= 1 - a * (1 / u - 1)
+        return out
+
+    return phi
 
 
 def phi_signature(
@@ -282,11 +304,10 @@ def phi_signature(
     hi = max(sig[i] - (i + 1) + n for i in range(n))
     window = phi_coeffs(omega, lo, hi, mode=mode, tolerance=tolerance)
     entries = [[window[sig[i] - (i + 1) + (j + 1)] for j in range(n)] for i in range(n)]
-    if mode == "exact":
-        return det(entries)
-    import numpy as np
-
-    return float(np.linalg.det(np.array(entries, dtype=float)))
+    # numeric entries are floats, which det takes exactly; the float of the
+    # exact determinant is correctly rounded
+    value = det(entries)
+    return value if mode == "exact" else float(value)
 
 
 def link_infinity(
@@ -365,18 +386,18 @@ def a_coeff_quadrature(
     n = len(nu)
     if not n > K + x + 1:
         raise ValueError("representation requires N > K + x + 1")
-    omega = embed(nu)
+    phi = _phi_complex(embed(nu))
     (mean,) = _circle_means(
-        lambda us: [_phi_complex(omega, us) * _r_kernel_complex(n, K, x, i, us)], tolerance, max_points
+        lambda us: [[phi(u) * _r_kernel_complex(n, K, x, i, u) for u in us]], tolerance, max_points
     )
     return mean
 
 
-def _r_kernel_complex(N: int, K: int, x: int, i: int, us):
+def _r_kernel_complex(N: int, K: int, x: int, i: int, u: complex) -> complex:
     """Kernel R(u) whose pairing with Phi(.; embed(nu)) over the unit circle
     gives the finite coefficient A_i(x); tends to u^{-(x+i)} as N grows."""
-    y = N / (us - 1)
-    out = N * (N - K) * us / (us - 1) ** 2
+    y = N / (u - 1)
+    out = N * (N - K) * u / (u - 1) ** 2
     for s in range(N - K - 1):
         out = out * (y - x + 0.5 + s) / (y + i - 0.5 + s)
     out = out / ((y + i - 0.5 + (N - K - 1)) * (y + i - 0.5 + (N - K)))

@@ -222,7 +222,12 @@ def qtoeplitz_solve(coeffs: Sequence[RatLike], q: RatLike, x: int, i: int) -> Ra
     q = check_q(q)
     if x < 1 or i < 1:
         raise ValueError("grid starts at x = i = 1")
-    phi = basis_from_coeffs(coeffs, q)
+    return _solve_on_basis(basis_from_coeffs(coeffs, q), q, x, i)
+
+
+def _solve_on_basis(phi: Sequence[RatLike], q: Rat, x: int, i: int) -> Rat:
+    """qtoeplitz_solve on phi = basis_from_coeffs(coeffs, q), for a checked q
+    and x, i >= 1, so a caller that solves many (x, i) builds phi once."""
     if x < i:
         return Fraction(0)
     return q ** _b_exponent(x, i) * _residue_sum(q, range(i - 1, x), x - 1, phi=phi)

@@ -48,12 +48,12 @@ from .qtoeplitz import (
     B_entry,
     B_entry_via_qA,
     BoundarySeq,
+    _solve_on_basis,
     b_generating_check,
     basis_from_coeffs,
     coeff_extract,
     q_ratio_infinity,
     qA_infinity,
-    qtoeplitz_solve,
 )
 from .reldim import A_coeff, DetContext, bo_coefficient, bo_transform, link_row, rel_dim_ratio
 from .schur import schur_bialternant
@@ -406,7 +406,7 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
             fill = _recurrence_fill(coeffs, q, _MAX_XI)
             for x in range(1, _MAX_XI + 1):
                 for i in range(1, _MAX_XI + 1):
-                    case.expect(qtoeplitz_solve(coeffs, q, x, i), fill[(x, i)], lambda: f"solver d({x},{i})")
+                    case.expect(_solve_on_basis(phi, q, x, i), fill[(x, i)], lambda: f"solver d({x},{i})")
         out.append(case.result())
 
     for n_seq in _SEQS:

@@ -1,9 +1,11 @@
 """Hypothesis strategies shared by the test modules."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from gtkit.boundary import OmegaPoint
 from gtkit.qtoeplitz import BoundarySeq
 
 
@@ -73,3 +75,29 @@ def boundary_seqs(draw, max_head=4, lo=-3, hi=5):
     head = sorted(draw(st.lists(st.integers(lo, hi), max_size=max_head)))
     tail = draw(st.integers(head[-1] if head else lo, hi))
     return BoundarySeq(tuple(head), tail)
+
+
+def _fractions(top, max_den):
+    """A rational in [0, top] with denominator <= max_den."""
+    return st.integers(1, max_den).flatmap(
+        lambda b: st.integers(0, math.floor(top * b)).map(lambda a: Fraction(a, b))
+    )
+
+
+@st.composite
+def omega_points(draw, max_den=6, max_alpha=2, max_len=2):
+    """A boundary point without drift that exact mode accepts: up to max_len
+    distinct alphas in [0, max_alpha] and betas in [0, 1] per direction, all
+    with denominators <= max_den, and beta_plus[0] + beta_minus[0] <= 1."""
+
+    def coords(top):
+        values = st.lists(_fractions(top, max_den), max_size=max_len, unique=True)
+        return draw(values.map(lambda v: tuple(sorted(v, reverse=True))))
+
+    beta_plus = coords(1)
+    return OmegaPoint(
+        alpha_plus=coords(max_alpha),
+        beta_plus=beta_plus,
+        alpha_minus=coords(max_alpha),
+        beta_minus=coords(1 - beta_plus[0] if beta_plus else 1),
+    )

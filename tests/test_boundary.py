@@ -3,6 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import omega_points
 
 from gtkit.boundary import (
     LaurentWindow,
@@ -46,6 +49,22 @@ def test_phi_eval():
     assert isinstance(val, complex) and abs(val - 1) < 1e-12
     with pytest.raises(ArithmeticError):
         phi_eval(ALPHA, 2.0)  # the float pole of 1 / (1 - (u-1))
+
+
+@pytest.mark.parametrize(
+    "omega, u",
+    [
+        (ALPHA, 1e-320),  # 1/u overflows to inf, and 0 * inf is nan
+        (ALPHA, 1e-310j),
+        (OmegaPoint(gamma_plus=F(1)), float("nan")),
+        (OmegaPoint(gamma_plus=F(1)), float("inf")),
+        (OmegaPoint(gamma_plus=F(1000)), 800.0),  # cmath.exp overflows
+        (OmegaPoint(gamma_plus=F(10)), complex(1e308, 1e308)),  # cmath.exp(inf + inf j) is a domain error
+    ],
+)
+def test_phi_eval_raises_an_overflow_error_instead_of_a_value_that_is_not_finite(omega, u):
+    with pytest.raises(OverflowError):
+        phi_eval(omega, u)
 
 
 def test_phi_coeffs_beta_factors():
@@ -96,6 +115,25 @@ def test_numeric_matches_exact():
     numeric = phi_coeffs(omega, -2, 2, mode="numeric")
     for n in range(-2, 3):
         assert abs(numeric[n] - float(exact[n])) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_points(), st.integers(-3, 3), st.integers(0, 3))
+def test_numeric_coefficients_match_exact(omega, n_min, width):
+    tolerance = 1e-10
+    exact = phi_coeffs(omega, n_min, n_min + width)
+    numeric = phi_coeffs(omega, n_min, n_min + width, mode="numeric", tolerance=tolerance)
+    for n in range(n_min, n_min + width + 1):
+        assert abs(numeric[n] - float(exact[n])) < 100 * tolerance, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_points(), st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+def test_numeric_minors_match_exact(omega, parts):
+    tolerance = 1e-10
+    sig = tuple(sorted(parts, reverse=True))
+    numeric = phi_signature(omega, sig, mode="numeric", tolerance=tolerance)
+    assert abs(numeric - float(phi_signature(omega, sig))) < 100 * tolerance
 
 
 def test_phi_signature_values():

@@ -1,4 +1,6 @@
-"""numpy is loaded by the float paths only: exact commands never import it."""
+"""gtkit needs no numpy: exact commands never import it, and the float paths
+(quadrature, numeric minors, phi_eval at a complex point) run in an
+interpreter where importing numpy fails."""
 
 import json
 import os
@@ -47,19 +49,35 @@ print(json.dumps({{"code": code, "after_import": after_import, "after_run": "num
     assert out == {"code": 0, "after_import": False, "after_run": False}
 
 
-def test_numeric_coefficients_load_numpy_and_match_exact():
+def test_numeric_paths_run_where_numpy_cannot_be_imported():
     out = fresh_python(
         """
-import json, sys
-from gtkit.boundary import embed, phi_coeffs
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from fractions import Fraction
+from gtkit import cli
+from gtkit.boundary import a_coeff_quadrature, embed, phi_coeffs, phi_eval, phi_signature
+from gtkit.reldim import A_coeff, DetContext
 omega = embed((2, 1, 0))
-before = "numpy" in sys.modules
 exact = phi_coeffs(omega, -2, 2)
 numeric = phi_coeffs(omega, -2, 2, mode="numeric")
-gap = max(abs(numeric[n] - float(exact[n])) for n in range(-2, 3))
-print(json.dumps({"before": before, "after": "numpy" in sys.modules, "gap": gap}))
+nu = (1,) + (0,) * 7
+gaps = {
+    "phi_coeffs": max(abs(numeric[n] - float(exact[n])) for n in range(-2, 3)),
+    "phi_signature": abs(phi_signature(omega, (1, 0), mode="numeric") - float(phi_signature(omega, (1, 0)))),
+    "phi_eval": abs(phi_eval(omega, 0.5) - float(phi_eval(omega, Fraction(1, 2)))),
+    "a_coeff_quadrature": abs(a_coeff_quadrature(nu, 1, 1, 0) - float(A_coeff(DetContext(1, nu), 1, 0))),
+}
+codes = {}
+for name, argv in (
+    ("uat", ["uat", "--kappa", "0", "--family", "linear-row:1/2", "--n", "6,8", "--mode", "numeric"]),
+    ("verify", ["verify", "boundary"]),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = cli.main(argv)
+print(json.dumps({"gaps": gaps, "codes": codes, "numpy": sys.modules["numpy"] is None}))
 """
     )
-    assert out["before"] is False
-    assert out["after"] is True
-    assert out["gap"] < 1e-8
+    assert out["codes"] == {"uat": 0, "verify": 0}
+    assert out["numpy"] is True
+    assert all(gap < 1e-8 for gap in out["gaps"].values()), out["gaps"]
