@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import islice
 
 from . import qlinks, reldim, schur
-from .patterns import BudgetExceededError, check_q, dim_product, format_signature, parse_signature
+from .patterns import BudgetExceededError, _parse_ints, check_q, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, LinkRow, link_row, rel_dim_ratio
 from .verify import SUITES, bench_table, ignored_bounds, run_suite, uat_table
@@ -185,9 +185,13 @@ def _nonnegative(text: str) -> int:
 
 def _int_list(text: str) -> list:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        values = _parse_ints(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{value} given twice in {text!r}")
+    return values
 
 
 @lru_cache(maxsize=1)

@@ -17,7 +17,7 @@ import operator
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import Rat
@@ -141,18 +141,19 @@ def check_signature(sig: Sequence[int]) -> Signature:
 
 def parse_signature(text: str) -> Signature:
     """Parse '4,2,0,0,-1' (empty string is the empty signature)."""
+    return check_signature(_parse_ints(text))
+
+
+def _parse_ints(text: str) -> list[int]:
+    """Parse '4,2,0' into its integers; the empty string has none."""
     text = text.strip()
-    if not text:
-        return ()
     parts = []
-    for pos, token in enumerate(text.split(","), start=1):
+    for pos, token in enumerate(text.split(",") if text else [], start=1):
         try:
             parts.append(int(token))
         except ValueError:
-            raise ValueError(
-                f"bad integer {token.strip()!r} at position {pos} in {text!r}"
-            ) from None
-    return check_signature(parts)
+            raise ValueError(f"bad integer {token.strip()!r} at position {pos} in {text!r}") from None
+    return parts
 
 
 def format_signature(sig: Sequence[int]) -> str:
@@ -199,6 +200,13 @@ class GTPattern:
                 raise ValueError(f"rows {lower} and {upper} do not interlace")
         self.rows = rows
 
+    @classmethod
+    def _walked(cls, rows: tuple) -> GTPattern:
+        """Rows from _ascend, which interlace by construction, unchecked."""
+        pattern = object.__new__(cls)
+        pattern.rows = rows
+        return pattern
+
     @property
     def bottom(self) -> Signature:
         return self.rows[0]
@@ -244,30 +252,27 @@ def _row_ranges(mu: Signature, nu: Signature, m: int) -> list[range] | None:
 
 def _ascend(mu: Signature, nu: Signature, level: int, budget: Budget) -> Iterator[tuple]:
     """Yield all chains (row_{level+1}, ..., row_N = nu) above mu, lexicographically."""
-    n = len(nu)
-    if level == n:
+    if level == len(nu):
         yield ()
         return
     m = level + 1
     ranges = _row_ranges(mu, nu, m)
     if ranges is None:
         return
-    row = [0] * m
     budget_consume = budget.consume
-
     # row_i <= mu_{i-1} <= row_{i-1}, so candidates are automatically nonincreasing
-    def rec(i: int) -> Iterator[tuple]:
-        if i == m:
-            budget_consume(m)
-            built = tuple(row)
-            for rest in _ascend(built, nu, m, budget):
-                yield (built,) + rest
-            return
-        for v in ranges[i]:
-            row[i] = v
-            yield from rec(i + 1)
+    for row in reduce(_extend, ranges, [()]):
+        budget_consume(m)
+        for rest in _ascend(row, nu, m, budget):
+            yield (row,) + rest
 
-    yield from rec(0)
+
+def _extend(rows: Iterable[tuple], part: range) -> Iterator[tuple]:
+    """Each row followed by each value of part, lazily: a range is never
+    copied, so the budget stops a walk under a wide top row in time."""
+    for row in rows:
+        for v in part:
+            yield row + (v,)
 
 
 def enumerate_trapezoids(
@@ -280,30 +285,25 @@ def enumerate_trapezoids(
     if len(kappa) > len(nu):
         raise ValueError("bottom row longer than top row")
     b = resolve_budget(budget)
-    if len(kappa) == len(nu):
-        if kappa == nu:
-            yield GTPattern((nu,))
-        return
-    if not fits_under(kappa, nu):
-        return
-    for chain in _ascend(kappa, nu, len(kappa), b):
-        yield GTPattern((kappa,) + chain)
-
-
-def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> int:
-    """Number of trapezoids with bottom kappa and top nu, counted one by one."""
-    return sum(1 for _ in enumerate_trapezoids(kappa, nu, budget))
+    if fits_under(kappa, nu):
+        for chain in _ascend(kappa, nu, len(kappa), b):
+            yield GTPattern._walked((kappa,) + chain)
 
 
 def skew_profile(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> Counter:
     """Multiset of row-sum increment vectors over all trapezoids kappa -> nu;
     evaluating sum_d count[d] prod_m u_m^{d_m} gives the skew Schur value in
-    N - K variables."""
+    N - K variables. The trapezoid oracles below are groupings of it."""
     profile: Counter = Counter()
     for pattern in enumerate_trapezoids(kappa, nu, budget):
-        sums = [sum(row) for row in pattern.rows]
-        profile[tuple(b - a for a, b in zip(sums, sums[1:]))] += 1
+        sums = list(map(sum, pattern.rows))
+        profile[tuple(map(operator.sub, sums[1:], sums))] += 1
     return profile
+
+
+def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> int:
+    """Number of trapezoids with bottom kappa and top nu: their profile's total."""
+    return sum(skew_profile(kappa, nu, budget).values())
 
 
 def _descend_counts(lam: Signature, level: int, to_level: int, budget: Budget, table: dict) -> None:
@@ -360,9 +360,9 @@ def rel_dim_table_bound(nu: Sequence[int], K: int) -> int:
 def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None) -> dict:
     """Trapezoid counts for every bottom row at once: {kappa: count}.
 
-    Same exhaustive walk as rel_dim_oracle, grouped by where each chain
-    lands at level K. Refused up front when rel_dim_table_bound exceeds the
-    budget.
+    The downward walk from nu, grouped by where each chain lands at level K;
+    rel_dim_oracle counts the chains to one kappa by the upward walk.
+    Refused up front when rel_dim_table_bound exceeds the budget.
     """
     nu = check_signature(nu)
     b = resolve_budget(budget)
@@ -523,19 +523,12 @@ def q_dim_oracle(nu: Sequence[int], q, budget: int | Budget | None = None) -> Ra
 
 def q_rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], q, budget: int | Budget | None = None) -> Rat:
     """q-weighted trapezoid count: q^{|kappa|} * sum over chains of
-    q^{|row_{K+1}| + ... + |row_{N-1}|} (top row unweighted)."""
-    kappa = check_signature(kappa)
-    nu = check_signature(nu)
+    q^{|row_{K+1}| + ... + |row_{N-1}|} (top row unweighted), that is
+    q^{max(m, 1)|kappa|} times the skew profile at q^{(m-1, ..., 0)}, m = N - K."""
     q = check_q(q)
-    if len(kappa) > len(nu):
-        raise ValueError("bottom row longer than top row")
-    b = resolve_budget(budget)
-    base = sum(kappa)
-    counts: Counter = Counter()
-    if fits_under(kappa, nu):
-        for chain in _ascend(kappa, nu, len(kappa), b):
-            counts[base + sum(map(sum, chain[:-1]))] += 1
-    return q_series(counts, q)
+    profile = skew_profile(kappa, nu, budget)
+    m = len(nu) - len(kappa)
+    return q ** (max(m, 1) * sum(kappa)) * profile_at_q_powers(profile, range(m - 1, -1, -1), q)
 
 
 def profile_at_q_powers(profile: Counter, t: Sequence[int], q: Rat) -> Rat:

@@ -383,6 +383,37 @@ def test_bench_with_no_n_is_not_applicable(capsys):
     assert lines[0]["status"] == "not-applicable"
 
 
+def test_uat_with_no_n_is_not_applicable(capsys):
+    code, lines, _ = run(capsys, "uat", "--kappa", "1", "--family", "linear-row:1/2", "--n", "")
+    assert code == 0
+    assert [e["value"] for e in lines[:-1]] == ["not-applicable"]
+    assert lines[-1]["status"] == "not-applicable"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a gap compared with itself is not smaller, so this printed status fail
+        (["uat", "--kappa", "1", "--family", "linear-row:1/2", "--n", "6,6"], "6 given twice in '6,6'"),
+        (["bench", "--n", "8,8"], "8 given twice in '8,8'"),
+        (["uat", "--kappa", "0", "--family", "zero", "--n", "6,,10"], "bad integer '' at position 2 in '6,,10'"),
+        (["bench", "--n", "5,"], "bad integer '' at position 2 in '5,'"),
+    ],
+)
+def test_repeated_or_empty_n_value_is_an_argparse_error(capsys, monkeypatch, argv, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command ran on an --n that parsing should refuse")
+
+    monkeypatch.setattr(gtkit.cli, "uat_table", forbidden)
+    monkeypatch.setattr(gtkit.cli, "bench_table", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize(
     "argv",

@@ -245,6 +245,26 @@ def test_partway_stop_has_no_bound():
     assert err.bound is None and err.budget == 400 < err.consumed
 
 
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda budget: list(enumerate_trapezoids((0,), (10**9, 0, 0), budget)),
+        lambda budget: skew_profile((0,), (10**9, 0, 0), budget),
+        lambda budget: rel_dim_oracle((0,), (10**9, 0, 0), budget),
+        lambda budget: q_rel_dim_oracle((0,), (10**9, 0, 0), F(1, 2), budget),
+        lambda budget: skew_schur_combinatorial((10**9, 0, 0), (0,), (1, 2), budget),
+    ],
+    ids=["enumerate_trapezoids", "skew_profile", "rel_dim_oracle", "q_rel_dim_oracle", "skew_schur_combinatorial"],
+)
+def test_upward_walk_under_a_wide_row_stops_at_its_budget(walk):
+    # the upward walk has no pre-flight: it must draw each row part by part,
+    # so a range of 10^9 values is never built before the budget runs out
+    budget = Budget(100)
+    with pytest.raises(BudgetExceededError) as info:
+        walk(budget)
+    assert info.value.bound is None and 100 < info.value.consumed <= 105  # 5 units a chain
+
+
 def test_every_enum_refusal_pair_is_refused_up_front():
     # the benchmark's enum-refusal workload: N in 8..20, K in 1..3, 300k units
     for n in range(8, 21):
@@ -260,6 +280,53 @@ def test_enumeration_is_lexicographic_and_complete():
     assert flat == sorted(flat)
     assert len(pats) == rel_dim_oracle((1,), (2, 1, 0))
     assert all(p.bottom == (1,) and p.top == (2, 1, 0) for p in pats)
+
+
+@st.composite
+def trapezoid_ends(draw, max_n=7, margin=2):
+    """A top row nu with N <= max_n, and a bottom row kappa of length
+    0 <= K <= N whose parts may leave nu's support box by up to margin."""
+    nu = draw(top_rows(max_n=max_n))
+    k = draw(st.integers(0, len(nu)))
+    parts = draw(st.lists(st.integers(nu[-1] - margin, nu[0] + margin), min_size=k, max_size=k))
+    return tuple(sorted(parts, reverse=True)), nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(trapezoid_ends())
+@example(((1, 0), (1, 0)))
+@example(((2, 2), (1, 0)))
+@example(((), (3, 1, 0)))
+def test_walked_patterns_interlace(ends):
+    # enumerate_trapezoids builds its patterns without GTPattern's check,
+    # so every pattern it yields must pass that check
+    kappa, nu = ends
+    patterns = []
+    try:
+        for pattern in enumerate_trapezoids(kappa, nu, budget=WALK_CAP):
+            patterns.append(pattern)
+    except BudgetExceededError:
+        pass  # the patterns walked before the stop are checked all the same
+    for pattern in patterns:
+        assert GTPattern(pattern.rows) == pattern
+        assert (pattern.bottom, pattern.top) == (kappa, nu)
+    flat = [sum(p.rows, ()) for p in patterns]
+    assert flat == sorted(set(flat))  # lexicographic, each pattern once
+    if not all(nu[-1] <= part <= nu[0] for part in kappa):
+        assert not patterns
+
+
+@settings(max_examples=30, deadline=None)
+@given(top_rows(max_n=5, bound=3), q_points())
+def test_upward_and_downward_walks_agree(nu, q):
+    # the upward walk per kappa against the downward walk to every kappa at once
+    for k in range(1, len(nu)):
+        box = list(support_box(nu, k))
+        counts = {kappa: rel_dim_oracle(kappa, nu) for kappa in box}
+        assert rel_dim_table(nu, k) == {kappa: count for kappa, count in counts.items() if count}
+        # q-volumes split at level K into the trapezoid above and the triangle below
+        split = sum(q_rel_dim_oracle(kappa, nu, q) * q_dim_oracle(kappa, q) for kappa in box)
+        assert q_dim_oracle(nu, q) == split, k
 
 
 def test_q_dim_values():
