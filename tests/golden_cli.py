@@ -104,6 +104,8 @@ MATRIX = [
     # exit 3: a walk stopped partway, and one refused up front
     ["verify", "q1-oracle", "--max-n", "5", "--budget", "20"],
     ["verify", "q1-oracle", "--max-n", "2", "--part-bound", "1", "--budget", "0"],
+    # exit 3 from a downward walk stopped partway
+    ["verify", "q-oracle", "--max-n", "3", "--budget", "5"],
 ]
 
 # the same commands under a GTKIT_BUDGET that is not a budget
