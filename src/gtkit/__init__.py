@@ -23,7 +23,6 @@ from .patterns import (
     DEFAULT_BUDGET,
     Budget,
     BudgetExceededError,
-    GTPattern,
     all_signatures,
     check_signature,
     dim_oracle,
@@ -40,7 +39,6 @@ from .patterns import (
     rel_dim_table,
     rel_dim_table_bound,
     support_box,
-    volume,
 )
 from .qlinks import (
     QDetContext,

@@ -37,7 +37,6 @@ __all__ = [
     "format_signature",
     "interlaces",
     "fits_under",
-    "GTPattern",
     "enumerate_trapezoids",
     "rel_dim_oracle",
     "skew_profile",
@@ -45,7 +44,6 @@ __all__ = [
     "rel_dim_table_bound",
     "dim_product",
     "dim_oracle",
-    "volume",
     "q_dim",
     "q_dim_oracle",
     "q_rel_dim_oracle",
@@ -133,7 +131,13 @@ def resolve_budget(budget: int | Budget | None) -> Budget:
 
 
 def check_signature(sig: Sequence[int]) -> Signature:
-    out = tuple(map(int, sig))
+    # map itself raises TypeError when sig is not iterable; only a part that
+    # is not an integer becomes the ValueError below
+    parts = map(operator.index, sig)
+    try:
+        out = tuple(parts)
+    except TypeError:
+        raise ValueError(f"signature parts must be integers, got {sig!r}") from None
     if any(map(operator.lt, out, out[1:])):
         raise ValueError(f"signature parts must be nonincreasing, got {out}")
     return out
@@ -186,52 +190,6 @@ def fits_under(row: Sequence[int], nu: Sequence[int]) -> bool:
 # patterns
 
 
-class GTPattern:
-    """A chain of pairwise interlacing rows with consecutive lengths."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if not rows:
-            raise ValueError("pattern needs at least one row")
-        for lower, upper in zip(rows, rows[1:]):
-            if not interlaces(lower, upper):
-                raise ValueError(f"rows {lower} and {upper} do not interlace")
-        self.rows = rows
-
-    @classmethod
-    def _walked(cls, rows: tuple) -> GTPattern:
-        """Rows from _ascend, which interlace by construction, unchecked."""
-        pattern = object.__new__(cls)
-        pattern.rows = rows
-        return pattern
-
-    @property
-    def bottom(self) -> Signature:
-        return self.rows[0]
-
-    @property
-    def top(self) -> Signature:
-        return self.rows[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GTPattern) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"GTPattern({self.rows})"
-
-
-def volume(pattern: GTPattern) -> int:
-    """Sum of the entries of all rows below the top; pattern must be triangular."""
-    if pattern.rows[0] != ():
-        raise ValueError("volume is defined for triangular patterns (empty bottom row)")
-    return sum(sum(row) for row in pattern.rows[:-1])
-
-
 def _row_ranges(mu: Signature, nu: Signature, m: int) -> list[range] | None:
     """Per-part ranges for the row of length m directly above mu, constrained
     to stay completable up to nu. None when empty."""
@@ -275,19 +233,25 @@ def _extend(rows: Iterable[tuple], part: range) -> Iterator[tuple]:
             yield row + (v,)
 
 
+def _rows_below(lam: Signature) -> Iterable[tuple]:
+    """All rows of length len(lam) - 1 that interlace under lam, drawn
+    lexicographically and lazily like _ascend's."""
+    return reduce(_extend, [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)], [()])
+
+
 def enumerate_trapezoids(
     kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None
-) -> Iterator[GTPattern]:
-    """All trapezoidal patterns with bottom kappa and top nu, in lexicographic
-    order on the concatenation of the rows from bottom to top."""
+) -> Iterator[tuple]:
+    """All trapezoidal patterns with bottom kappa and top nu, each as its rows
+    (kappa, row_{K+1}, ..., nu), in lexicographic order on the concatenation
+    of the rows from bottom to top. The arguments are checked at the call."""
     kappa = check_signature(kappa)
     nu = check_signature(nu)
     if len(kappa) > len(nu):
         raise ValueError("bottom row longer than top row")
     b = resolve_budget(budget)
-    if fits_under(kappa, nu):
-        for chain in _ascend(kappa, nu, len(kappa), b):
-            yield GTPattern._walked((kappa,) + chain)
+    chains = _ascend(kappa, nu, len(kappa), b) if fits_under(kappa, nu) else ()
+    return ((kappa,) + chain for chain in chains)
 
 
 def skew_profile(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> Counter:
@@ -295,8 +259,8 @@ def skew_profile(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget |
     evaluating sum_d count[d] prod_m u_m^{d_m} gives the skew Schur value in
     N - K variables. The trapezoid oracles below are groupings of it."""
     profile: Counter = Counter()
-    for pattern in enumerate_trapezoids(kappa, nu, budget):
-        sums = list(map(sum, pattern.rows))
+    for rows in enumerate_trapezoids(kappa, nu, budget):
+        sums = list(map(sum, rows))
         profile[tuple(map(operator.sub, sums[1:], sums))] += 1
     return profile
 
@@ -311,24 +275,10 @@ def _descend_counts(lam: Signature, level: int, to_level: int, budget: Budget, t
         table[lam] = table.get(lam, 0) + 1
         return
     m = level - 1
-    if m == 0:
-        table[()] = table.get((), 0) + 1
-        return
     budget_consume = budget.consume
-    lo = [lam[i + 1] for i in range(m)]
-    hi = [lam[i] for i in range(m)]
-    row = [0] * m
-
-    def rec(i: int) -> None:
-        if i == m:
-            budget_consume(m)
-            _descend_counts(tuple(row), m, to_level, budget, table)
-            return
-        for v in range(lo[i], hi[i] + 1):
-            row[i] = v
-            rec(i + 1)
-
-    rec(0)
+    for row in _rows_below(lam):
+        budget_consume(m)
+        _descend_counts(row, m, to_level, budget, table)
 
 
 def rel_dim_table_bound(nu: Sequence[int], K: int) -> int:
@@ -492,20 +442,9 @@ def _descend_volumes(lam: Signature, level: int, vol: int, budget: Budget, count
         return
     m = level - 1
     budget_consume = budget.consume
-    lo = [lam[i + 1] for i in range(m)]
-    hi = [lam[i] for i in range(m)]
-    row = [0] * m
-
-    def rec(i: int) -> None:
-        if i == m:
-            budget_consume(m)
-            _descend_volumes(tuple(row), m, vol + sum(row), budget, counts)
-            return
-        for v in range(lo[i], hi[i] + 1):
-            row[i] = v
-            rec(i + 1)
-
-    rec(0)
+    for row in _rows_below(lam):
+        budget_consume(m)
+        _descend_volumes(row, m, vol + sum(row), budget, counts)
 
 
 def q_dim_oracle(nu: Sequence[int], q, budget: int | Budget | None = None) -> Rat:

@@ -1,5 +1,6 @@
 """Interlacing rows, pattern enumeration, and the enumeration oracles."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,6 @@ from gtkit.patterns import (
     DEFAULT_BUDGET,
     Budget,
     BudgetExceededError,
-    GTPattern,
     all_signatures,
     check_signature,
     dim_oracle,
@@ -31,7 +31,6 @@ from gtkit.patterns import (
     rel_dim_table_bound,
     skew_profile,
     support_box,
-    volume,
 )
 from gtkit.schur import skew_schur_combinatorial
 from gtkit.verify import bench_signature
@@ -64,19 +63,17 @@ def test_fits_under_matches_enumeration():
         assert fits_under(kappa, nu) == has_chain, kappa
 
 
-def test_gtpattern_validation():
-    p = GTPattern(((1,), (2, 0), (2, 1, 0)))
-    assert p.bottom == (1,)
-    assert p.top == (2, 1, 0)
-    with pytest.raises(ValueError):
-        GTPattern(((3,), (2, 0)))
-
-
-def test_volume():
-    p = GTPattern(((), (1,), (2, 1)))
-    assert volume(p) == 1
-    with pytest.raises(ValueError):
-        volume(GTPattern(((1,), (2, 1))))
+def test_check_signature_refuses_parts_that_are_not_integers():
+    # a part is taken as an integer only when it is one, never truncated
+    for sig in ((2.7, 0), (2.0, 0), (F(5, 2), 0), (F(2), 0), ("2", 0)):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            check_signature(sig)
+    with pytest.raises(ValueError, match="parts must be integers"):
+        dim_product((2.7, 0))
+    with pytest.raises(TypeError):
+        check_signature(5)  # not a sequence at all
+    assert check_signature((True, False)) == (1, 0)
+    assert all(type(part) is int for part in check_signature((True, False)))
 
 
 def test_dim_known_values():
@@ -276,10 +273,29 @@ def test_every_enum_refusal_pair_is_refused_up_front():
 
 def test_enumeration_is_lexicographic_and_complete():
     pats = list(enumerate_trapezoids((1,), (2, 1, 0)))
-    flat = [sum(p.rows[1:-1], ()) for p in pats]
-    assert flat == sorted(flat)
+    middles = [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert pats == [((1,), row, (2, 1, 0)) for row in middles]
     assert len(pats) == rel_dim_oracle((1,), (2, 1, 0))
-    assert all(p.bottom == (1,) and p.top == (2, 1, 0) for p in pats)
+    assert all(interlaces(lower, upper) for rows in pats for lower, upper in zip(rows, rows[1:]))
+
+
+def test_enumerate_trapezoids_checks_its_arguments_at_the_call(monkeypatch):
+    # refused before the first next, not when the walk is first advanced
+    with pytest.raises(ValueError, match="bottom row longer than top row"):
+        enumerate_trapezoids((1, 0, 0), (1, 0))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        enumerate_trapezoids((1,), (0, 1))
+    monkeypatch.setenv("GTKIT_BUDGET", "abc")
+    with pytest.raises(ValueError, match="GTKIT_BUDGET"):
+        enumerate_trapezoids((1,), (2, 1, 0))
+    monkeypatch.delenv("GTKIT_BUDGET")
+    # still a generator: nothing is walked until it is advanced, and it can be closed
+    walk = Budget(100)
+    pats = enumerate_trapezoids((1,), (2, 1, 0), walk)
+    assert inspect.isgenerator(pats) and walk.consumed == 0
+    assert next(pats) == ((1,), (1, 0), (2, 1, 0)) and walk.consumed == 5  # 2 + 3 units
+    pats.close()
+    assert list(enumerate_trapezoids((5,), (2, 0))) == []  # does not fit
 
 
 @st.composite
@@ -298,22 +314,34 @@ def trapezoid_ends(draw, max_n=7, margin=2):
 @example(((2, 2), (1, 0)))
 @example(((), (3, 1, 0)))
 def test_walked_patterns_interlace(ends):
-    # enumerate_trapezoids builds its patterns without GTPattern's check,
-    # so every pattern it yields must pass that check
+    # every pattern enumerate_trapezoids yields runs from kappa to nu in
+    # rows of consecutive lengths, each interlacing under the next
     kappa, nu = ends
     patterns = []
     try:
-        for pattern in enumerate_trapezoids(kappa, nu, budget=WALK_CAP):
-            patterns.append(pattern)
+        for rows in enumerate_trapezoids(kappa, nu, budget=WALK_CAP):
+            patterns.append(rows)
     except BudgetExceededError:
         pass  # the patterns walked before the stop are checked all the same
-    for pattern in patterns:
-        assert GTPattern(pattern.rows) == pattern
-        assert (pattern.bottom, pattern.top) == (kappa, nu)
-    flat = [sum(p.rows, ()) for p in patterns]
+    for rows in patterns:
+        assert (rows[0], rows[-1]) == (kappa, nu) and len(rows) == len(nu) - len(kappa) + 1
+        assert all(interlaces(lower, upper) for lower, upper in zip(rows, rows[1:]))
+    flat = [sum(rows, ()) for rows in patterns]
     assert flat == sorted(set(flat))  # lexicographic, each pattern once
     if not all(nu[-1] <= part <= nu[0] for part in kappa):
         assert not patterns
+
+
+@settings(max_examples=60, deadline=None)
+@given(top_rows(max_n=7))
+def test_rows_below_a_top_row_are_its_interlacing_rows(nu):
+    # one downward step from nu draws every interlacing row once, in
+    # lexicographic order, at N - 1 units a row; at N = 1 the one row is ()
+    n = len(nu)
+    walk = Budget(DEFAULT_BUDGET)
+    rows = list(rel_dim_table(nu, n - 1, budget=walk))
+    assert rows == [r for r in all_signatures(n - 1, nu[-1], nu[0]) if interlaces(r, nu)]
+    assert walk.consumed == (n - 1) * len(rows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -369,7 +397,7 @@ def test_profile_at_q_powers_counts_each_trapezoid_once():
     assert sum(profile.values()) == rel_dim_oracle(kappa, nu)
     # at t = (1, 0) only the first added row is weighted
     q = F(2, 3)
-    want = sum((q ** sum(p.rows[1]) for p in enumerate_trapezoids(kappa, nu)), F(0)) / q ** sum(kappa)
+    want = sum((q ** sum(rows[1]) for rows in enumerate_trapezoids(kappa, nu)), F(0)) / q ** sum(kappa)
     assert profile_at_q_powers(profile, (1, 0), q) == want
 
 
