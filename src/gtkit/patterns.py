@@ -483,29 +483,28 @@ def profile_at_q_powers(profile: Counter, t: Sequence[int], q: Rat) -> Rat:
 # sweeps
 
 
+def _extend_below_last(rows: Iterable[tuple], lo: int) -> Iterator[tuple]:
+    """Each row followed by each part from lo up to its last part, lazily."""
+    for row in rows:
+        for v in range(lo, row[-1] + 1):
+            yield row + (v,)
+
+
 def all_signatures(length: int, lo: int, hi: int) -> Iterator[Signature]:
-    """All signatures of the given length with parts in [lo, hi], lexicographic."""
-    if length == 0:
-        yield ()
-        return
-
-    def rec(prefix: list, cap: int) -> Iterator[Signature]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for v in range(lo, cap + 1):
-            prefix.append(v)
-            yield from rec(prefix, v)
-            prefix.pop()
-
-    yield from rec([], hi)
+    """All signatures of the given length with parts in [lo, hi], lexicographic,
+    drawn lazily like the walks' rows. The length is checked at the call."""
+    if length < 0:
+        raise ValueError(f"signature length must be at least 0, got {length}")
+    rows = ((v,) for v in range(lo, hi + 1)) if length else iter([()])
+    for _ in range(length - 1):
+        rows = _extend_below_last(rows, lo)
+    return rows
 
 
 def support_box(nu: Sequence[int], K: int) -> Iterator[Signature]:
     """All kappa of length K with parts between nu_N and nu_1; contains the
     support of every link row with top nu."""
     nu = check_signature(nu)
-    if not nu:
-        yield ()
-        return
-    yield from all_signatures(K, nu[-1], nu[0])
+    if not 0 <= K <= len(nu):
+        raise ValueError(f"level must be between 0 and N={len(nu)}, got {K}")
+    yield from all_signatures(K, nu[-1], nu[0]) if nu else [()]

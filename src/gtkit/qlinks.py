@@ -24,9 +24,8 @@ from .patterns import (
     check_q,
     check_signature,
     q_dim,
-    support_box,
 )
-from .reldim import A_coeff, DetContext, LinkRow, _coefficient_det_parts
+from .reldim import A_coeff, DetContext, LinkRow, _coefficient_det_parts, _link_row
 from .schur import h_at_q_powers, schur_bialternant
 
 __all__ = [
@@ -221,12 +220,11 @@ def general_q_ratio(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -> Rat
     return _general_q_scalar(n, q.numerator, q.denominator, tspec.T) * det(matrix)
 
 
-# One weight per (kappa, q, S), whatever the top row. q-oracle asks for one
-# per kappa of every top row, and for one (N, q) its keys cycle through the
-# bottom rows of the part bound: at most 55 at default bounds (160 in all),
-# so 64 entries hold that cycle. Entries outlive the suite, so the bound is
-# kept to the cycle; a wider sweep misses as if there were no cache.
-@lru_cache(maxsize=64)
+# One weight per (kappa, q, S), whatever the top row. general-T's mass check
+# reads one per kappa, T and q of every top row: 500 keys at default bounds,
+# 1,750 at --max-n 5, so 2^11 entries hold the whole sweep. q-oracle's 160
+# keys (bottom run S only) are among them and all hit after general-T.
+@lru_cache(maxsize=1 << 11)
 def _schur_weight(kappa: Signature, a: int, b: int, s: tuple) -> Rat:
     """s_kappa(q^S) at q = a/b by the bialternant, in plain Fraction arithmetic."""
     q = Fraction(a, b)
@@ -249,14 +247,8 @@ def general_q_projection(ctx: QDetContext, tspec: TSpec, kappa: Sequence[int]) -
 def q_link_row(nu: Sequence[int], K: int, q: RatLike) -> LinkRow:
     """Markov-kernel row of the q-deformed link: q-dimension of kappa times
     the q-relative ratio, over the support box."""
-    nu = check_signature(nu)
-    ctx = QDetContext(K, nu, Fraction(q))
-    weights = {}
-    for kappa in support_box(nu, K):
-        ratio = q_rel_dim_ratio(ctx, kappa)
-        if ratio:
-            weights[kappa] = ratio * q_dim(kappa, ctx.q)
-    return LinkRow(nu, K, weights)
+    ctx = QDetContext(K, nu, q)
+    return _link_row(ctx, q_rel_dim_ratio, lambda kappa: q_dim(kappa, ctx.q))
 
 
 def q_to_1_check(K: int, nu: Sequence[int], i: int, x: int, q: RatLike) -> tuple[Rat, Rat]:

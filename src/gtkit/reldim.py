@@ -36,7 +36,6 @@ __all__ = [
     "DetContext",
     "A_coeff",
     "A_matrix",
-    "coefficient_det",
     "rel_dim_ratio",
     "psi_coeff",
     "rel_dim_ratio_first",
@@ -180,14 +179,9 @@ def _coefficient_det_parts(coeff: Callable, ctx, kappa: Sequence[int]) -> tuple[
     return sum(map(operator.mul, cofactors, last)), den * lcd
 
 
-def coefficient_det(coeff: Callable, ctx, kappa: Sequence[int]) -> Rat:
-    """det[coeff(ctx, i, kappa_j - j)]_{i,j=1..K}, normalised once."""
-    return Fraction(*_coefficient_det_parts(coeff, ctx, kappa))
-
-
 def rel_dim_ratio(ctx: DetContext, kappa: Sequence[int]) -> Rat:
     """(trapezoid count) / (triangular count) as det[A_i(kappa_j - j)]."""
-    return coefficient_det(A_coeff, ctx, kappa)
+    return Fraction(*_coefficient_det_parts(A_coeff, ctx, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +342,19 @@ class LinkRow:
         return f"LinkRow(top={self.top}, K={self.K}, {len(self.weights)} entries)"
 
 
+def _link_row(ctx: DetContext, ratio: Callable, weight: Callable) -> LinkRow:
+    """The row of ctx over its support box: ratio(ctx, kappa) * weight(kappa)
+    for every kappa, the weight taken only where the ratio is not zero. The
+    one loop that builds link weights, for link_row and q_link_row alike."""
+    weights = {}
+    for kappa in support_box(ctx.nu, ctx.K):
+        r = ratio(ctx, kappa)
+        if r:
+            weights[kappa] = r * weight(kappa)
+    return LinkRow(ctx.nu, ctx.K, weights)
+
+
 def link_row(nu: Sequence[int], K: int) -> LinkRow:
     """Markov-kernel row nu -> {kappa}: (triangular count of kappa) times the
     relative-dimension ratio, over the support box."""
-    nu = check_signature(nu)
-    ctx = DetContext(K, nu)
-    weights = {}
-    for kappa in support_box(nu, K):
-        ratio = rel_dim_ratio(ctx, kappa)
-        if ratio:
-            weights[kappa] = ratio * dim_product(kappa)
-    return LinkRow(nu, K, weights)
+    return _link_row(DetContext(K, nu), rel_dim_ratio, dim_product)

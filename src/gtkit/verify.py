@@ -43,7 +43,16 @@ from .patterns import (
     skew_profile,
     support_box,
 )
-from .qlinks import QDetContext, TSpec, general_q_projection, general_q_ratio, q_link_row, q_rel_dim_ratio, q_to_1_check
+from .qlinks import (
+    QDetContext,
+    TSpec,
+    _schur_weight,
+    general_q_projection,
+    general_q_ratio,
+    q_link_row,
+    q_rel_dim_ratio,
+    q_to_1_check,
+)
 from .qtoeplitz import (
     B_entry,
     B_entry_via_qA,
@@ -203,11 +212,6 @@ def suite_general_t(
     oracle, all subsets T, with the projection mass identity alongside."""
     qs = tuple(Fraction(q) for q in qs)
     out = []
-    # s_kappa(q^S) of the mass check, per (kappa, q, S): it does not depend
-    # on the top row, so the rows of one sweep share a few hundred values.
-    # q enters the key by its position in qs, as hashing a Fraction takes a
-    # modular inverse on every lookup.
-    mass_weights: dict = {}
     for n in range(2, max_n + 1):
         case = _Case("general-T", f"N={n} parts [{-part_bound},{part_bound}] q={','.join(map(str, qs))}")
         # one TSpec per (K, T), shared by every top row and q
@@ -219,7 +223,7 @@ def suite_general_t(
                 ctxs = [QDetContext(k, nu, q) for q in qs]
                 for tspec in tspecs[k]:
                     t_set = tspec.T
-                    for iq, (q, ctx, denom) in enumerate(zip(qs, ctxs, denoms)):
+                    for q, ctx, denom in zip(qs, ctxs, denoms):
                         mass = Fraction(0)
                         for kappa, profile in boxes:
                             formula = general_q_ratio(ctx, tspec, kappa)
@@ -229,10 +233,7 @@ def suite_general_t(
                                 oracle,
                                 lambda: f"nu={_fmt(nu)} K={k} T={t_set} q={q} kappa={_fmt(kappa)}",
                             )
-                            key = (kappa, iq, tspec.S)
-                            if key not in mass_weights:
-                                mass_weights[key] = schur_bialternant(kappa, [q**s for s in tspec.S])
-                            mass += mass_weights[key] * formula
+                            mass += _schur_weight(kappa, q.numerator, q.denominator, tspec.S) * formula
                         case.expect(
                             mass,
                             Fraction(1),

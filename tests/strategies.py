@@ -43,6 +43,22 @@ def top_rows(draw, max_n=8, bound=6):
     return tuple(sorted([low + width, *inner, low], reverse=True))
 
 
+@st.composite
+def chain_levels(draw, max_n=8, bound=4, max_box=120):
+    """A top row nu with 3 <= N <= max_n, levels 1 <= K < M < N, and parts in
+    [-bound, bound], with nu as wide as the bound allows while the level-M
+    support box keeps at most max_box rows: narrow rows for high M, wide
+    rows for low M."""
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(1, n - 2))
+    m = draw(st.integers(k + 1, n - 1))
+    widest = max(w for w in range(2 * bound + 1) if math.comb(w + m, m) <= max_box)
+    width = draw(st.integers(0, widest))
+    low = draw(st.integers(-bound, bound - width))
+    inner = draw(st.lists(st.integers(low, low + width), min_size=n - 2, max_size=n - 2))
+    return tuple(sorted([low + width, *inner, low], reverse=True)), k, m
+
+
 def q_points(max_denominator=12):
     """A rational q = a/b with 0 < q < 1 and b <= max_denominator."""
     return st.integers(2, max_denominator).flatmap(

@@ -1,6 +1,7 @@
 """Interlacing rows, pattern enumeration, and the enumeration oracles."""
 
 import inspect
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -423,3 +424,24 @@ def test_all_signatures_counts():
     assert sigs == sorted(sigs)
     assert all(check_signature(s) == s for s in sigs)
     assert list(all_signatures(0, -1, 1)) == [()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(-3, 3), st.integers(-4, 4))
+def test_all_signatures_are_the_nonincreasing_tuples_in_order(length, lo, hi):
+    want = [t for t in itertools.product(range(lo, hi + 1), repeat=length) if list(t) == sorted(t, reverse=True)]
+    assert list(all_signatures(length, lo, hi)) == sorted(want)
+
+
+def test_negative_lengths_and_levels_and_the_empty_top_row_are_refused():
+    with pytest.raises(ValueError, match="at least 0"):
+        all_signatures(-1, 0, 2)  # at the call, before any tuple is asked for
+    with pytest.raises(ValueError, match="level"):
+        next(support_box((2, 1, 0), -1))
+    with pytest.raises(ValueError, match="level"):
+        next(support_box((), 2))  # no row of length 2 lies under a row of length 0
+    with pytest.raises(ValueError, match="level"):
+        next(support_box((1, 0), 3))
+    assert list(support_box((), 0)) == [()]
+    assert list(support_box((2, 1, 0), 0)) == [()]
+    assert list(support_box((1, 0), 2)) == [(0, 0), (1, 0), (1, 1)]

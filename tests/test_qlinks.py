@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import levels, top_rows, wide_qs, wide_rows
+from strategies import chain_levels, levels, top_rows, wide_qs, wide_rows
 
 from gtkit import patterns, qlinks, reldim
 from gtkit.linalg import det, vandermonde_inverse
@@ -24,7 +24,7 @@ from gtkit.qlinks import (
     q_to_1_check,
     qA_coeff,
 )
-from gtkit.reldim import A_coeff, DetContext, _cleared_column, bo_coefficient, coefficient_det
+from gtkit.reldim import A_coeff, DetContext, _cleared_column, _coefficient_det_parts, bo_coefficient, link_row
 from gtkit.schur import h_at_q_powers
 
 Q = F(1, 2)
@@ -146,6 +146,31 @@ def test_q_to_1_pairs():
         gaps.append(abs(got - target))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < F(1, 100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_levels(max_box=120), wide_qs())
+def test_q_link_rows_compose_through_an_intermediate_level(case, q):
+    nu, k, m = case
+    composed: dict = {}
+    for mu, w in q_link_row(nu, m, q).items():
+        for kappa, v in q_link_row(mu, k, q).items():
+            composed[kappa] = composed.get(kappa, 0) + w * v
+    assert composed == dict(q_link_row(nu, k, q).items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(levels(max_n=6, bound=4))
+def test_q_link_rows_approach_the_link_row_as_q_goes_to_1(case):
+    # the L1 distance to the q = 1 row falls strictly along q = 1 - 1/m,
+    # unless it is 0 throughout (a row with one bottom row)
+    nu, k = case
+    row = link_row(nu, k)
+    distances = []
+    for m in (10, 100, 1000):
+        q_row = q_link_row(nu, k, F(m - 1, m))
+        distances.append(sum(abs(q_row[kappa] - row[kappa]) for kappa in set(row.weights) | set(q_row.weights)))
+    assert distances == [0, 0, 0] or distances[0] > distances[1] > distances[2], distances
 
 
 def _assert_q_row_entries_equal_oracle(nu, k, q):
@@ -273,7 +298,7 @@ def test_q_ratio_is_prefactor_times_coefficient_det(case, q):
     nu, k, kappas = case
     ctx = QDetContext(k, nu, q)
     for kappa in kappas:
-        want = q_prefactor(ctx, kappa) * coefficient_det(qA_coeff, ctx, kappa)
+        want = q_prefactor(ctx, kappa) * F(*_coefficient_det_parts(qA_coeff, ctx, kappa))
         assert q_rel_dim_ratio(ctx, kappa) == want, kappa
 
 

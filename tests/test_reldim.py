@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import levels, top_rows, wide_rows
+from strategies import chain_levels, levels, top_rows, wide_rows
 
 from gtkit import reldim
 from gtkit.linalg import det
@@ -218,6 +218,19 @@ def test_link_row_entries_equal_matrix_det_wider_than_column_cache(k):
     width = _cleared_column.cache_info().maxsize + 2
     nu = (width - 1, 0) if k == 1 else (width - 1, width // 2, 0)
     _assert_row_entries_equal_oracle(nu, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_levels(max_box=300))
+def test_link_rows_compose_through_an_intermediate_level(case):
+    # Lambda^N_K = Lambda^N_M Lambda^M_K, exactly, on rows wider than the
+    # coherence suite's [-1, 1] sweep
+    nu, k, m = case
+    composed: dict = {}
+    for mu, w in link_row(nu, m).items():
+        for kappa, v in link_row(mu, k).items():
+            composed[kappa] = composed.get(kappa, 0) + w * v
+    assert composed == dict(link_row(nu, k).items())
 
 
 @settings(max_examples=60, deadline=None)
