@@ -75,6 +75,9 @@ MATRIX = [
     ["uat", "--kappa", "0", "--family", "linear-row:2", "--n", "6,8"],
     ["uat", "--kappa", "0", "--family", "linear-row:2", "--n", "8,6"],
     ["uat", "--kappa", "-1,-2", "--family", "linear-row:1", "--n", "3,4"],
+    # uat in numeric mode; the second pins the quadrature's rounding noise
+    ["uat", "--kappa", "0", "--family", "linear-row:1/2", "--n", "6,8", "--mode", "numeric"],
+    ["uat", "--kappa", "-1,-2", "--family", "linear-row:1", "--n", "3,4", "--mode", "numeric", "--tolerance", "1e-12"],
     # repeated or empty --n values
     ["uat", "--kappa", "1", "--family", "linear-row:1/2", "--n", "6,6"],
     ["uat", "--kappa", "0", "--family", "zero", "--n", "3,,4"],
