@@ -13,10 +13,10 @@ half-integer-shifted Frobenius-type coordinates divided by N; the drift of
 an embedded point is always exactly zero, so embedded points always support
 exact mode.
 
-The float paths (the quadrature, phi_eval at a float or complex point, the
-numeric minor determinant) run on the standard library: cmath and math for
-the quadrature, and the exact determinant of the float entries, rounded once,
-for the minor.
+One product evaluates Phi at a point, exact or float. The float paths (the
+quadrature, phi_eval at a float or complex point, the numeric minor
+determinant) run on the standard library: cmath and math for the quadrature,
+and the exact determinant of the float entries, rounded once, for the minor.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import attrgetter, mul
 from typing import Sequence
 
@@ -91,32 +92,48 @@ def phi_eval(omega: OmegaPoint, u):
     u = Fraction(u) if exact else complex(u)
     if u == 0:
         raise PoleError("u = 0 is an essential singularity direction")
-    if not exact:
-        # a float pole raises ZeroDivisionError; an overflow, or any other
-        # value that is not finite, raises OverflowError instead of a nan
+    if exact:
         try:
-            value = _phi_complex(omega)(u)
-        except ValueError as exc:  # cmath's domain error at an infinite argument
-            raise OverflowError(f"Phi({u}) overflows in floating point") from exc
-        if not cmath.isfinite(value):
-            raise OverflowError(f"Phi({u}) is {value} in floating point")
-        return value
-    out = Fraction(1)
-    for b in omega.beta_plus:
-        out *= 1 + b * (u - 1)
-    for b in omega.beta_minus:
-        out *= 1 + b * (1 / u - 1)
-    for a in omega.alpha_plus:
-        denom = 1 - a * (u - 1)
-        if denom == 0:
-            raise PoleError(f"u = {u} is the pole of the alpha_plus = {a} factor")
-        out /= denom
-    for a in omega.alpha_minus:
-        denom = 1 - a * (1 / u - 1)
-        if denom == 0:
-            raise PoleError(f"u = {u} is the pole of the alpha_minus = {a} factor")
-        out /= denom
-    return out
+            return _phi(omega, Fraction)(u)
+        except ZeroDivisionError as exc:
+            raise PoleError(f"u = {u} is a pole of Phi") from exc
+    # a float pole raises ZeroDivisionError; an overflow, or any other value
+    # that is not finite, raises OverflowError instead of a nan
+    try:
+        value = _phi(omega, float)(u)
+    except ValueError as exc:  # cmath's domain error at an infinite argument
+        raise OverflowError(f"Phi({u}) overflows in floating point") from exc
+    if not cmath.isfinite(value):
+        raise OverflowError(f"Phi({u}) is {value} in floating point")
+    return value
+
+
+def _phi(omega: OmegaPoint, number):
+    """Phi(.; omega) as a function of one point u, the coordinates converted
+    once by `number`: Fraction for exact values (both drifts are then 0 and
+    the product starts at 1), float for the float paths (u is complex and the
+    product starts at the drift factor). A pole raises ZeroDivisionError; a
+    float overflow may leave an inf or a nan."""
+    gamma_plus, gamma_minus = number(omega.gamma_plus), number(omega.gamma_minus)
+    beta_plus = [number(b) for b in omega.beta_plus]
+    beta_minus = [number(b) for b in omega.beta_minus]
+    alpha_plus = [number(a) for a in omega.alpha_plus]
+    alpha_minus = [number(a) for a in omega.alpha_minus]
+
+    def phi(u):
+        inv = 1 / u
+        out = cmath.exp(gamma_plus * (u - 1) + gamma_minus * (inv - 1)) if number is float else number(1)
+        for b in beta_plus:
+            out *= 1 + b * (u - 1)
+        for b in beta_minus:
+            out *= 1 + b * (inv - 1)
+        for a in alpha_plus:
+            out /= 1 - a * (u - 1)
+        for a in alpha_minus:
+            out /= 1 - a * (inv - 1)
+        return out
+
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +265,7 @@ def phi_coeffs(
     if mode != "numeric":
         raise ValueError("mode must be 'exact' or 'numeric'")
     ns = range(n_min, n_max + 1)
-    phi = _phi_complex(omega)
+    phi = _phi(omega, float)
 
     def integrands(us):
         # Phi(u) u^{-n} for n = n_min .. n_max: each list is the one before
@@ -262,31 +279,6 @@ def phi_coeffs(
 
     means = _circle_means(integrands, tolerance, max_points)
     return LaurentWindow(n_min, n_max, dict(zip(ns, means)), "numeric", tolerance)
-
-
-def _phi_complex(omega: OmegaPoint):
-    """Phi(.; omega) in floating point, as a function of one complex point u
-    that takes the coordinates as floats converted once. A pole raises
-    ZeroDivisionError; an overflow may leave an inf or a nan."""
-    gamma_plus, gamma_minus = float(omega.gamma_plus), float(omega.gamma_minus)
-    beta_plus = [float(b) for b in omega.beta_plus]
-    beta_minus = [float(b) for b in omega.beta_minus]
-    alpha_plus = [float(a) for a in omega.alpha_plus]
-    alpha_minus = [float(a) for a in omega.alpha_minus]
-
-    def phi(u: complex) -> complex:
-        out = cmath.exp(gamma_plus * (u - 1) + gamma_minus * (1 / u - 1))
-        for b in beta_plus:
-            out *= 1 + b * (u - 1)
-        for b in beta_minus:
-            out *= 1 + b * (1 / u - 1)
-        for a in alpha_plus:
-            out /= 1 - a * (u - 1)
-        for a in alpha_minus:
-            out /= 1 - a * (1 / u - 1)
-        return out
-
-    return phi
 
 
 def phi_signature(
@@ -326,14 +318,6 @@ def link_infinity(
 # embedding of finite rows
 
 
-def _transpose(partition: Sequence[int]) -> tuple:
-    if not partition:
-        return ()
-    return tuple(
-        sum(1 for p in partition if p >= i) for i in range(1, partition[0] + 1)
-    )
-
-
 def embed(nu: Sequence[int]) -> OmegaPoint:
     """Coordinates of a finite top row inside the boundary parameter space:
     row/column half-shifted coordinates of the positive and negative parts,
@@ -345,18 +329,19 @@ def embed(nu: Sequence[int]) -> OmegaPoint:
     pos = tuple(v for v in nu if v > 0)
     neg = tuple(sorted((-v for v in nu if v < 0), reverse=True))
 
+    def shifted(lengths):
+        # (2 (l_i - i) + 1) / 2N while l_i - i >= 0, which is at most N terms
+        out = []
+        for i, length in enumerate(lengths, start=1):
+            if length - i < 0:
+                break
+            out.append(Fraction(2 * (length - i) + 1, 2 * n))
+        return tuple(out)
+
     def coords(diagram):
-        alpha = []
-        for i, part in enumerate(diagram, start=1):
-            if part - i < 0:
-                break
-            alpha.append(Fraction(2 * (part - i) + 1, 2 * n))
-        beta = []
-        for i, col in enumerate(_transpose(diagram), start=1):
-            if col - i < 0:
-                break
-            beta.append(Fraction(2 * (col - i) + 1, 2 * n))
-        return tuple(alpha), tuple(beta)
+        # rows, then columns: column i has #{parts >= i} boxes, computed
+        # only while shifted still reads it
+        return shifted(diagram), shifted(sum(1 for p in diagram if p >= i) for i in count(1))
 
     a_plus, b_plus = coords(pos)
     a_minus, b_minus = coords(neg)
@@ -386,7 +371,7 @@ def a_coeff_quadrature(
     n = len(nu)
     if not n > K + x + 1:
         raise ValueError("representation requires N > K + x + 1")
-    phi = _phi_complex(embed(nu))
+    phi = _phi(embed(nu), float)
     (mean,) = _circle_means(
         lambda us: [[phi(u) * _r_kernel_complex(n, K, x, i, u) for u in us]], tolerance, max_points
     )

@@ -453,9 +453,10 @@ def _emit(report: RunReport, use_csv: bool, stream, err_stream) -> None:
 
 def _out_path_error(path: str) -> OSError | None:
     """The error that opening `path` for writing would raise, found without
-    opening it: the parent must be a writable directory and the path must not
-    be a directory. Checked before the command runs, so a bad path costs no
-    work and an existing file is left as it is when the command fails."""
+    opening it: the path must not be a directory, an existing file must be
+    writable, and the parent of a new file must be a writable directory.
+    Checked before the command runs, so a bad path costs no work and an
+    existing file is left as it is when the command fails."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code, kind = errno.EISDIR, IsADirectoryError
@@ -463,7 +464,7 @@ def _out_path_error(path: str) -> OSError | None:
         code, kind = errno.ENOENT, FileNotFoundError
     elif not os.path.isdir(parent):
         code, kind = errno.ENOTDIR, NotADirectoryError
-    elif not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code, kind = errno.EACCES, PermissionError
     else:
         return None

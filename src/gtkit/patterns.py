@@ -130,14 +130,28 @@ def resolve_budget(budget: int | Budget | None) -> Budget:
 # signatures
 
 
-def check_signature(sig: Sequence[int]) -> Signature:
-    # map itself raises TypeError when sig is not iterable; only a part that
-    # is not an integer becomes the ValueError below
-    parts = map(operator.index, sig)
+def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """The values as ints, read with operator.index: a value that is not an
+    integer (2.7, a Fraction, a string) is refused, not truncated."""
+    # map itself raises TypeError when values is not iterable; only a value
+    # that is not an integer becomes the ValueError below
+    parts = map(operator.index, values)
     try:
-        out = tuple(parts)
+        return tuple(parts)
     except TypeError:
-        raise ValueError(f"signature parts must be integers, got {sig!r}") from None
+        raise ValueError(f"{name} must be integers, got {values!r}") from None
+
+
+def _integer(value: int, name: str) -> int:
+    """One value read as _integers reads each of its values."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_signature(sig: Sequence[int]) -> Signature:
+    out = _integers(sig, "signature parts")
     if any(map(operator.lt, out, out[1:])):
         raise ValueError(f"signature parts must be nonincreasing, got {out}")
     return out

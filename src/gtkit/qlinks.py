@@ -19,6 +19,8 @@ from typing import Sequence
 from .linalg import Rat, RatLike, det, vandermonde_det, vandermonde_inverse
 from .patterns import (
     Signature,
+    _integer,
+    _integers,
     _q_diff_product,
     _q_sum,
     check_q,
@@ -82,7 +84,9 @@ class TSpec:
     T: tuple
 
     def __post_init__(self):
-        t = tuple(sorted(int(v) for v in self.T))
+        object.__setattr__(self, "N", _integer(self.N, "N"))
+        object.__setattr__(self, "K", _integer(self.K, "K"))
+        t = tuple(sorted(_integers(self.T, "T")))
         object.__setattr__(self, "T", t)
         if len(set(t)) != len(t) or any(not 0 <= v < self.N for v in t):
             raise ValueError("T must be a subset of {0, ..., N-1}")

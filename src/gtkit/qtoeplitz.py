@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Rat, RatLike, det, poly_add, poly_mul, poly_scale
-from .patterns import _q_diff_product, _q_sum, check_q, check_signature
+from .patterns import _integer, _integers, _q_diff_product, _q_sum, check_q, check_signature
 
 __all__ = [
     "BoundarySeq",
@@ -46,9 +46,9 @@ class BoundarySeq:
     tail: int
 
     def __post_init__(self):
-        head = tuple(int(v) for v in self.head)
+        head = _integers(self.head, "head values")
         object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", int(self.tail))
+        object.__setattr__(self, "tail", _integer(self.tail, "tail"))
         for a, b in zip(head, head[1:]):
             if a > b:
                 raise ValueError("head must be nondecreasing")

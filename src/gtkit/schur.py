@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .linalg import Rat, RatLike, det, vandermonde_det
-from .patterns import check_signature, skew_profile
+from .patterns import _integer, _integers, check_signature, skew_profile
 
 __all__ = [
     "RepeatedPointsError",
@@ -91,7 +91,8 @@ def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:
         q = Fraction(q)
     if q.numerator <= 0 or q.numerator == q.denominator:
         raise ValueError("q must be positive and distinct from 1")
-    js = tuple(map(int, exponents))
+    m = _integer(m, "m")
+    js = _integers(exponents, "exponents")
     if len(set(js)) != len(js):
         raise ValueError("exponents must be distinct")
     return _h_at_q_powers(m, js, q.numerator, q.denominator)

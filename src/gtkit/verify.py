@@ -14,7 +14,6 @@ import inspect
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -89,28 +88,24 @@ __all__ = [
 DEFAULT_QS = (Fraction(1, 2), Fraction(2, 3))
 
 
-@dataclass
 class CaseResult:
-    suite: str
-    case: str
-    ok: bool
-    checks: int
-    seconds: float
-    counterexample: str | None = None
-
-
-class _Case:
-    """Accumulates comparisons for one parameter block.
+    """The comparisons of one parameter block: how many were made, the text
+    of the first that failed, and the seconds the block took.
 
     `describe` is called for the text of the first failing comparison only,
     so passing comparisons format nothing."""
 
-    def __init__(self, suite: str, label: str):
+    def __init__(self, suite: str, case: str):
         self.suite = suite
-        self.label = label
+        self.case = case
         self.checks = 0
         self.counterexample: str | None = None
-        self.start = time.perf_counter()
+        self.seconds = 0.0
+        self._start = time.perf_counter()
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def expect(self, got, want, describe: Callable[[], str]) -> bool:
         return self.check(got == want, lambda: f"{describe()}: got {got}, want {want}")
@@ -121,15 +116,10 @@ class _Case:
             self.counterexample = describe()
         return self.counterexample is None
 
-    def result(self) -> CaseResult:
-        return CaseResult(
-            self.suite,
-            self.label,
-            self.counterexample is None,
-            self.checks,
-            time.perf_counter() - self.start,
-            self.counterexample,
-        )
+    def finish(self) -> CaseResult:
+        """Stamp the seconds since the case began, and return the case."""
+        self.seconds = time.perf_counter() - self._start
+        return self
 
 
 def _fmt(sig) -> str:
@@ -146,7 +136,7 @@ def suite_q1_oracle(max_n: int = 5, part_bound: int = 2, budget: int | None = No
     out = []
     for n in range(2, max_n + 1):
         for k in range(1, n):
-            case = _Case("q1-oracle", f"N={n} K={k} parts [{-part_bound},{part_bound}]")
+            case = CaseResult("q1-oracle", f"N={n} K={k} parts [{-part_bound},{part_bound}]")
             for nu in all_signatures(n, -part_bound, part_bound):
                 table = rel_dim_table(nu, k, budget=budget)
                 ctx = DetContext(k, nu)
@@ -164,7 +154,7 @@ def suite_q1_oracle(max_n: int = 5, part_bound: int = 2, budget: int | None = No
                     set(table) <= seen,
                     lambda: f"nu={_fmt(nu)}: oracle support leaks outside the box",
                 )
-            out.append(case.result())
+            out.append(case.finish())
     return out
 
 
@@ -174,7 +164,7 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult
     out = []
     for n in range(2, max_n + 1):
         for k in range(1, n):
-            case = _Case("bo-equivalence", f"N={n} K={k} coefficients")
+            case = CaseResult("bo-equivalence", f"N={n} K={k} coefficients")
             for nu in all_signatures(n, -part_bound, part_bound):
                 ctx = DetContext(k, nu)
                 for i in range(1, k + 1):
@@ -184,8 +174,8 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult
                             A_coeff(ctx, i, x),
                             lambda: f"nu={_fmt(nu)} i={i} x={x}",
                         )
-            out.append(case.result())
-        case = _Case("bo-equivalence", f"N={n} biorthogonality")
+            out.append(case.finish())
+        case = CaseResult("bo-equivalence", f"N={n} biorthogonality")
         for k in range(1, n):
             for i in range(1, k + 1):
                 for p in range(1, k + 1):
@@ -194,7 +184,7 @@ def suite_bo_equivalence(max_n: int = 5, part_bound: int = 2) -> list[CaseResult
                         Fraction(1) if i == p else Fraction(0),
                         lambda: f"K={k} i={i} p={p}",
                     )
-        out.append(case.result())
+        out.append(case.finish())
     return out
 
 
@@ -213,7 +203,7 @@ def suite_general_t(
     qs = tuple(Fraction(q) for q in qs)
     out = []
     for n in range(2, max_n + 1):
-        case = _Case("general-T", f"N={n} parts [{-part_bound},{part_bound}] q={','.join(map(str, qs))}")
+        case = CaseResult("general-T", f"N={n} parts [{-part_bound},{part_bound}] q={','.join(map(str, qs))}")
         # one TSpec per (K, T), shared by every top row and q
         tspecs = {k: [TSpec(n, k, t) for t in itertools.combinations(range(n), n - k)] for k in range(1, n)}
         for nu in all_signatures(n, -part_bound, part_bound):
@@ -239,7 +229,7 @@ def suite_general_t(
                             Fraction(1),
                             lambda: f"nu={_fmt(nu)} K={k} T={t_set} q={q} projection mass",
                         )
-        out.append(case.result())
+        out.append(case.finish())
     return out
 
 
@@ -256,7 +246,7 @@ def suite_q_oracle(
     for n in range(2, max_n + 1):
         bottoms = {k: TSpec(n, k, tuple(range(n - k))) for k in range(1, n)}
         for q in qs:
-            case = _Case("q-oracle", f"N={n} parts [{-part_bound},{part_bound}] q={q}")
+            case = CaseResult("q-oracle", f"N={n} parts [{-part_bound},{part_bound}] q={q}")
             for nu in all_signatures(n, -part_bound, part_bound):
                 qdim_nu = q_dim_oracle(nu, q, budget=budget)
                 case.expect(q_dim(nu, q), qdim_nu, lambda: f"nu={_fmt(nu)} triangular q-count")
@@ -274,7 +264,7 @@ def suite_q_oracle(
                             general_q_projection(ctx, bottoms[k], kappa),
                             lambda: f"nu={_fmt(nu)} K={k} q={q} kappa={_fmt(kappa)} bottom-run reduction",
                         )
-            out.append(case.result())
+            out.append(case.finish())
     return out
 
 
@@ -283,7 +273,7 @@ def suite_q_to_1() -> list[CaseResult]:
     shrinks by a bounded factor per decade of 1 - q."""
     out = []
     for k, nu in ((1, (2, 1, 0)), (2, (2, 1, 1, 0))):
-        case = _Case("q-to-1", f"K={k} nu={_fmt(nu)}")
+        case = CaseResult("q-to-1", f"K={k} nu={_fmt(nu)}")
         for i in range(1, k + 1):
             for x in (-1, 0, 1):
                 gaps = []
@@ -301,7 +291,7 @@ def suite_q_to_1() -> list[CaseResult]:
                         5.0 <= factor <= 20.0,
                         lambda: f"i={i} x={x}: shrink factor {factor:.2f} outside [5.0, 20.0] (gaps {gaps})",
                     )
-        out.append(case.result())
+        out.append(case.finish())
     return out
 
 
@@ -343,7 +333,7 @@ def suite_coherence(
         return row_cache[key]
 
     for build, q, n, extra, label, suffix in sweeps:
-        case = _Case("coherence", label)
+        case = CaseResult("coherence", label)
         tops = list(all_signatures(n, -part_bound, part_bound))
         tops += [check_signature(s) for s in extra if len(s) == n]
         for nu in tops:
@@ -361,7 +351,7 @@ def suite_coherence(
                         dict(direct.items()),
                         lambda: f"nu={_fmt(nu)} M={m} K={k}{suffix}",
                     )
-        out.append(case.result())
+        out.append(case.finish())
     return out
 
 
@@ -391,7 +381,7 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
     rng = random.Random(seed)
 
     for q in qs:
-        case = _Case("qtoeplitz", f"extraction calculus q={q}")
+        case = CaseResult("qtoeplitz", f"extraction calculus q={q}")
         vectors = [
             (Fraction(1),),
             (Fraction(1), Fraction(2)),
@@ -408,11 +398,11 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
             for x in range(1, _MAX_XI + 1):
                 for i in range(1, _MAX_XI + 1):
                     case.expect(_solve_on_basis(phi, q, x, i), fill[(x, i)], lambda: f"solver d({x},{i})")
-        out.append(case.result())
+        out.append(case.finish())
 
     for n_seq in _SEQS:
         for q in qs:
-            case = _Case("qtoeplitz", f"n={n_seq.format()} q={q}")
+            case = CaseResult("qtoeplitz", f"n={n_seq.format()} q={q}")
             gen = b_generating_check(n_seq, q)
             case.check(
                 gen.ok,
@@ -453,7 +443,7 @@ def suite_qtoeplitz(qs: Sequence[Rat] = DEFAULT_QS, seed: int = 0) -> list[CaseR
                 all(a > b for a, b in zip(gaps, gaps[1:])),
                 lambda: f"boundary convergence not monotone: gaps {gaps}",
             )
-            out.append(case.result())
+            out.append(case.finish())
     return out
 
 
@@ -487,7 +477,7 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
         beta_minus=(Fraction(1, 3),),
     )
 
-    case = _Case("boundary", "coefficients exact vs quadrature")
+    case = CaseResult("boundary", "coefficients exact vs quadrature")
     exact = phi_coeffs(mixed, -6, 8, mode="exact")
     numeric = phi_coeffs(mixed, -6, 8, mode="numeric", tolerance=tolerance)
     for n in range(-6, 9):
@@ -496,9 +486,9 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
             lambda: f"phi_{n}: exact {float(exact[n])}, quadrature {numeric[n]}",
         )
     case.expect(phi_eval(mixed, 1), Fraction(1), lambda: "value at 1")
-    out.append(case.result())
+    out.append(case.finish())
 
-    case = _Case("boundary", "normalization and link rows")
+    case = CaseResult("boundary", "normalization and link rows")
     two_beta = OmegaPoint(beta_plus=(Fraction(1, 3), Fraction(1, 5)))
     window = phi_coeffs(two_beta, -1, 3)
     case.expect(sum(window.coeffs.values()), Fraction(1), lambda: "coefficient sum, polynomial case")
@@ -511,15 +501,15 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
     geo = OmegaPoint(alpha_plus=(Fraction(1, 3),))
     tail_mass = sum(link_infinity(geo, (k,)) for k in range(0, 25))
     case.check(abs(float(tail_mass) - 1) < 1e-9, lambda: f"level-1 link mass {float(tail_mass)}")
-    out.append(case.result())
+    out.append(case.finish())
 
-    case = _Case("boundary", "minor nonnegativity")
+    case = CaseResult("boundary", "minor nonnegativity")
     for n in (1, 2, 3):
         for nu in all_signatures(n, -part_bound, part_bound):
             case.check(phi_signature(mixed, nu) >= 0, lambda: f"phi_nu < 0 at nu={_fmt(nu)}")
-    out.append(case.result())
+    out.append(case.finish())
 
-    case = _Case("boundary", "compatibility with finite links")
+    case = CaseResult("boundary", "compatibility with finite links")
     for k in (1, 2):
         for kappa in all_signatures(k, 0, 2):
             direct = link_infinity(two_beta, kappa)
@@ -529,9 +519,9 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
                 if lam != 0:
                     through += lam * link_row(nu, k)[kappa]
             case.expect(through, direct, lambda: f"K={k} kappa={_fmt(kappa)}")
-    out.append(case.result())
+    out.append(case.finish())
 
-    case = _Case("boundary", "product expansion at sampled points")
+    case = CaseResult("boundary", "product expansion at sampled points")
     for om, lo, hi, bound in ((two_beta, 0, 2, 2), (geo, 0, 28, 28)):
         u1 = Fraction(rng.randint(1, 4), rng.randint(5, 9))
         u2 = Fraction(rng.randint(1, 4), rng.randint(5, 9))
@@ -546,9 +536,9 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
             abs(float(lhs - rhs)) < 1e-9,
             lambda: f"residual {float(lhs - rhs)} at u=({u1},{u2})",
         )
-    out.append(case.result())
+    out.append(case.finish())
 
-    case = _Case("boundary", "approximation gap decreasing")
+    case = CaseResult("boundary", "approximation gap decreasing")
     for kappa in ((0,), (1,)):
         gaps = [float(uat_gap((n // 2,) + (0,) * (n - 1), kappa)) for n in (6, 10, 14)]
         case.check(
@@ -556,16 +546,16 @@ def suite_boundary(part_bound: int = 2, tolerance: float = 1e-10, seed: int = 0)
             lambda: f"kappa={_fmt(kappa)}: gaps {gaps} not decreasing",
         )
     case.expect(uat_gap((0,) * 6, (0,)), Fraction(0), lambda: "zero diagram gap")
-    out.append(case.result())
+    out.append(case.finish())
 
-    case = _Case("boundary", "unit-circle kernel quadrature")
+    case = CaseResult("boundary", "unit-circle kernel quadrature")
     nu12 = (5, 4, 3, 2, 1, 0, 0, 0, 0, 0, -1, -2)
     ctx = DetContext(2, nu12)
     for i, x in ((1, 0), (2, 1)):
         got = a_coeff_quadrature(nu12, 2, i, x, tolerance=tolerance)
         want = float(A_coeff(ctx, i, x))
         case.check(abs(got - want) < 1e-8, lambda: f"(i,x)=({i},{x}): quadrature {got}, exact {want}")
-    out.append(case.result())
+    out.append(case.finish())
     return out
 
 

@@ -1,11 +1,12 @@
 """Boundary points: coefficients, minor determinants, and the embedding."""
 
+import signal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import omega_points
+from strategies import omega_points, top_rows
 
 from gtkit.boundary import (
     LaurentWindow,
@@ -162,6 +163,53 @@ def test_embed_frozen_coordinates():
     assert embed((0, 0)) == OmegaPoint()
     with pytest.raises(ValueError):
         embed(())
+
+
+def test_embed_reads_at_most_n_columns_of_a_wide_row():
+    # a part of 10**12 costs what a part of 10 does; should the columns past
+    # the N-th be built, SIGALRM stops the test instead of the transpose
+    # filling memory
+    def too_slow(signum, frame):
+        raise TimeoutError("embed builds the columns it does not read")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        p = embed((10**12, 0, 0))
+        q = embed((10**12, 0, -(10**12)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert p == OmegaPoint(alpha_plus=(F(2 * 10**12 - 1, 6),), beta_plus=(F(1, 6),))
+    assert q == OmegaPoint(
+        alpha_plus=(F(2 * 10**12 - 1, 6),),
+        beta_plus=(F(1, 6),),
+        alpha_minus=(F(2 * 10**12 - 1, 6),),
+        beta_minus=(F(1, 6),),
+    )
+
+
+def _embed_by_transpose(nu):
+    """embed through the whole transpose of each diagram, one column per
+    unit of its largest part."""
+    n = len(nu)
+
+    def shifted(lengths):
+        return tuple(F(2 * (length - i) + 1, 2 * n) for i, length in enumerate(lengths, 1) if length >= i)
+
+    def coords(diagram):
+        transpose = [sum(1 for p in diagram if p >= i) for i in range(1, max(diagram, default=0) + 1)]
+        return shifted(diagram), shifted(transpose)
+
+    a_plus, b_plus = coords([v for v in nu if v > 0])
+    a_minus, b_minus = coords(sorted((-v for v in nu if v < 0), reverse=True))
+    return OmegaPoint(a_plus, b_plus, a_minus, b_minus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(top_rows(max_n=8, bound=6))
+def test_embed_equals_the_transpose_reference(nu):
+    assert embed(nu) == _embed_by_transpose(nu)
 
 
 def test_a_coeff_quadrature_matches_exact():

@@ -530,6 +530,31 @@ def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, 
     assert "Traceback" not in err
 
 
+def test_out_path_checks_an_existing_file_itself_and_a_new_one_by_its_parent(tmp_path, capsys, monkeypatch):
+    # the tests may run as root, to whom every path is writable, so os.access
+    # is made to deny either the directories or the files
+    real_access = os.access
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    monkeypatch.setattr(os, "access", lambda p, mode: os.path.isfile(p) and real_access(p, mode))
+    # an existing writable file in a directory that is not writable: open(path,
+    # "w") truncates and writes it, so --out does too
+    code, lines, _ = run(capsys, "--out", str(path), "link", "2,1,0", "--level", "2")
+    assert code == 0
+    assert json.loads(path.read_text())["command"] == "link"
+    # a new file in that directory cannot be created
+    code, _, err = run(capsys, "--out", str(tmp_path / "new.json"), "link", "2,1,0", "--level", "2")
+    assert code == 2
+    assert "Permission denied" in err
+    # an existing file that is not writable, in a directory that is
+    monkeypatch.setattr(os, "access", lambda p, mode: os.path.isdir(p) and real_access(p, mode))
+    path.write_text("earlier report\n")
+    code, _, err = run(capsys, "--out", str(path), "link", "2,1,0", "--level", "2")
+    assert code == 2
+    assert "Permission denied" in err
+    assert path.read_text() == "earlier report\n"
+
+
 @pytest.mark.parametrize(
     "argv, exit_code",
     [

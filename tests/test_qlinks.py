@@ -68,6 +68,13 @@ def test_tspec_validation():
         TSpec(4, 2, (1, 1))
 
 
+@pytest.mark.parametrize("n, k, t", [(3, 1, (0.9, 1.2)), (3, 1, (0, 1.0)), (3, 1, (F(0), 1)), (3.0, 1, (0, 1)), (3, 1.5, (0,))])
+def test_tspec_refuses_values_that_are_not_integers(n, k, t):
+    # they were truncated: TSpec(3, 1, (0.9, 1.2)) read as T = (0, 1)
+    with pytest.raises(ValueError, match="must be (integers|an integer), got"):
+        TSpec(n, k, t)
+
+
 def test_q_prefactor():
     ctx = QDetContext(1, (1, 0), Q)
     # (-1)^{1*1} q^{1*|kappa|} q^{-1*1*4/2}

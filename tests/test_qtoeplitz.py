@@ -39,6 +39,13 @@ def test_boundary_seq_basics():
         n.value(0)
 
 
+@pytest.mark.parametrize("head, tail", [((2.7,), 3.9), ((2.7,), 3), ((2,), 3.9), ((F(1),), 2), (("1",), 2)])
+def test_boundary_seq_refuses_values_that_are_not_integers(head, tail):
+    # they were truncated: BoundarySeq((2.7,), 3.9) read as head (2,), tail 3
+    with pytest.raises(ValueError, match="must be (integers|an integer), got"):
+        BoundarySeq(head, tail)
+
+
 def test_ones_sequence_single_nonzero_entry():
     # first column for n = (1,1,...): only B(2,1) survives and equals 1
     assert B_entry(1, 1, ONES, Q) == 0

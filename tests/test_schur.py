@@ -82,6 +82,14 @@ def test_h_at_q_powers_validation():
             h_at_q_powers(2, [0, 1], 1)
 
 
+@pytest.mark.parametrize("m, exponents", [(2, (0.5, 1.7)), (2, (0, 1.0)), (2.9, (0, 1)), (F(2), (0, 1))])
+def test_h_at_q_powers_refuses_values_that_are_not_integers(m, exponents):
+    # they were truncated: exponents (0.5, 1.7) read as (0, 1), and m = 2.9
+    # gave the float 1.866
+    with pytest.raises(ValueError, match="must be (integers|an integer), got"):
+        h_at_q_powers(m, exponents, 1 / 2)
+
+
 def test_h_at_q_powers_takes_any_sequence_and_rational_q():
     for m in range(-1, 6):
         want = h_at_q_powers(m, (2, 0, -1), F(3))
