@@ -114,11 +114,19 @@ def _phi(omega: OmegaPoint, number):
     the product starts at 1), float for the float paths (u is complex and the
     product starts at the drift factor). A pole raises ZeroDivisionError; a
     float overflow may leave an inf or a nan."""
+
+    def convert(name):
+        out = []
+        for k, value in enumerate(getattr(omega, name)):
+            try:
+                out.append(number(value))
+            except OverflowError:
+                raise OverflowError(f"{name}[{k}] is too large for a float; exact mode handles it") from None
+        return out
+
     gamma_plus, gamma_minus = number(omega.gamma_plus), number(omega.gamma_minus)
-    beta_plus = [number(b) for b in omega.beta_plus]
-    beta_minus = [number(b) for b in omega.beta_minus]
-    alpha_plus = [number(a) for a in omega.alpha_plus]
-    alpha_minus = [number(a) for a in omega.alpha_minus]
+    beta_plus, beta_minus = convert("beta_plus"), convert("beta_minus")
+    alpha_plus, alpha_minus = convert("alpha_plus"), convert("alpha_minus")
 
     def phi(u):
         inv = 1 / u
@@ -134,6 +142,13 @@ def _phi(omega: OmegaPoint, number):
         return out
 
     return phi
+
+
+def _poles(omega: OmegaPoint) -> list[Rat]:
+    """The poles of Phi(.; omega) off u = 0: 1 + 1/a for each alpha_plus
+    a > 0, outside the unit circle, and a / (1 + a) for each alpha_minus
+    a > 0, inside it."""
+    return [1 + 1 / a for a in omega.alpha_plus if a] + [a / (1 + a) for a in omega.alpha_minus if a]
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +218,45 @@ class QuadratureError(ArithmeticError):
     """Unit-circle quadrature that did not settle within its point budget."""
 
 
-def _circle_means(integrands, tolerance: float, max_points: int) -> list[float]:
+def _alias_floor(pole: Rat, window: range, tolerance: float) -> float:
+    """The m above which the m-point aliases of one pole of the integrand are
+    below `tolerance` at every n in `window`: a pole of radius r > 1 adds
+    about r^-(n+m) to the mean for coefficient n, and one of radius r < 1
+    about r^(m-n)."""
+    # the log of a radius, from its integers: it may lie outside the float range
+    log_radius = math.log(abs(pole.numerator)) - math.log(pole.denominator)
+    if log_radius > 0:
+        return math.log(tolerance) / -log_radius - window[0]
+    if log_radius < 0:
+        return math.log(tolerance) / log_radius + window[-1]
+    return math.inf  # on the circle, to float precision
+
+
+def _circle_means(integrands, poles, window: range, tolerance: float, max_points: int) -> list[float]:
     """Real parts of the means of integrands(us) over m midpoint nodes us of
     the unit circle, m doubling from 64 until no mean moves by `tolerance`.
 
     integrands(us) yields one list of complex values per mean, each value at
-    the node of the same position in us.
+    the node of the same position in us: the mean for n in `window`
+    estimates the n-th Laurent coefficient of a function with the given
+    poles. Two means that agree can both be aliased, so the loop stops only
+    at an m above every pole's `_alias_floor`; a floor above max_points
+    raises QuadratureError naming its pole.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"quadrature tolerance must be positive and finite, got {tolerance}")
+    floor, pole = max(((_alias_floor(p, window, tolerance), p) for p in poles), default=(0.0, None))
+    if floor >= max_points:
+        raise QuadratureError(
+            f"the pole at u = {pole} is too near the unit circle: its aliases stay above tolerance "
+            f"{tolerance} below about {floor:.3g} points, over max_points = {max_points}"
+        )
     m = 64
     prev = None
     while m <= max_points:
         us = [cmath.exp(1j * (2 * math.pi * (k + 0.5) / m)) for k in range(m)]
         current = [math.fsum(map(attrgetter("real"), vals)) / m for vals in integrands(us)]
-        if prev is not None and max(abs(a - b) for a, b in zip(current, prev)) < tolerance:
+        if m > floor and prev is not None and max(abs(a - b) for a, b in zip(current, prev)) < tolerance:
             return current
         prev = current
         m *= 2
@@ -277,7 +316,7 @@ def phi_coeffs(
             vals = list(map(mul, vals, invs))
             yield vals
 
-    means = _circle_means(integrands, tolerance, max_points)
+    means = _circle_means(integrands, _poles(omega), ns, tolerance, max_points)
     return LaurentWindow(n_min, n_max, dict(zip(ns, means)), "numeric", tolerance)
 
 
@@ -366,16 +405,41 @@ def a_coeff_quadrature(
     max_points: int = 1 << 16,
 ) -> float:
     """A_i(x) recovered as the mean of Phi(u; embed(nu)) R(u) over the unit
-    circle, quadrature points doubled until stable. Needs N > K + x + 1."""
+    circle, quadrature points doubled until stable. Needs N > K + x + 1 and
+    x + i >= 1, and, as the mean takes only the poles inside the circle,
+    every pole of R inside it."""
     nu = check_signature(nu)
     n = len(nu)
     if not n > K + x + 1:
         raise ValueError("representation requires N > K + x + 1")
-    phi = _phi(embed(nu), float)
+    kernel_poles = _r_kernel_poles(n, K, i, x)
+    if x + i < 1:
+        # the pole at s = 0 is then one that no zero of R cancels
+        raise ValueError(f"representation requires x + i >= 1; R keeps its pole at u = {kernel_poles[0]}")
+    for pole in kernel_poles:
+        if abs(pole) >= 1:
+            raise ValueError(f"representation requires every pole of R inside the unit circle; R has one at u = {pole}")
+    omega = embed(nu)
+    phi = _phi(omega, float)
     (mean,) = _circle_means(
-        lambda us: [[phi(u) * _r_kernel_complex(n, K, x, i, u) for u in us]], tolerance, max_points
+        lambda us: [[phi(u) * _r_kernel_complex(n, K, x, i, u) for u in us]],
+        _poles(omega) + kernel_poles,
+        range(1),
+        tolerance,
+        max_points,
     )
     return mean
+
+
+def _r_kernel_poles(N: int, K: int, i: int, x: int) -> list[Rat]:
+    """The poles of R: u = 1 - N/c at each c = i - 1/2 + s, s = 0..N-K, that
+    R's zero at c = s' + 1/2 - x, s' = 0..N-K-2, does not cancel (the zero
+    with s' = x + i + s - 1 cancels it)."""
+    return [
+        1 - Fraction(2 * N, 2 * (i + s) - 1)
+        for s in range(N - K + 1)
+        if not 0 <= x + i + s - 1 <= N - K - 2
+    ]
 
 
 def _r_kernel_complex(N: int, K: int, x: int, i: int, u: complex) -> complex:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from . import qlinks, reldim, schur
+from . import patterns, qlinks, reldim, schur
 from .patterns import BudgetExceededError, _parse_ints, check_q, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, LinkRow, link_row, rel_dim_ratio
@@ -134,22 +134,29 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _sig(text: str) -> tuple:
-    try:
-        return parse_signature(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _argument_type(convert):
+    """The argparse type of the plain converter `convert`: the ValueError it
+    raises becomes argparse's message for the argument, word for word."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
 
 
+_sig = _argument_type(parse_signature)
+
+
+@_argument_type
 def _q(text: str) -> Fraction:
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {err}") from None
-    try:
-        return check_q(q)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+        raise ValueError(f"bad rational {text!r}: {err}") from None
+    return check_q(q)
 
 
 class _DistinctQs(argparse.Action):
@@ -163,34 +170,28 @@ class _DistinctQs(argparse.Action):
         setattr(namespace, self.dest, [*qs, value])
 
 
+@_argument_type
 def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    value = float(text)
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+        raise ValueError(f"tolerance must be positive and finite, got {text!r}")
     return value
 
 
+@_argument_type
 def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        raise ValueError(f"must be at least 0, got {value}")
     return value
 
 
+@_argument_type
 def _int_list(text: str) -> list:
-    try:
-        values = _parse_ints(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    values = _parse_ints(text)
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise argparse.ArgumentTypeError(f"{value} given twice in {text!r}")
+            raise ValueError(f"{value} given twice in {text!r}")
     return values
 
 
@@ -269,36 +270,27 @@ def _cmd_rdim(args) -> RunReport:
     return report
 
 
-# The caches behind the row and verify commands, captured at import so that
-# wrappers later bound over the module names (as perfbench's tracer does)
-# leave the counts read here untouched.
-_DET_CACHES = {"prefix_cofactors": reldim._prefix_cofactors, "cleared_column": reldim._cleared_column}
+# Every bounded cache of the modules the commands call into, named without
+# its leading underscore. Captured at import, so that wrappers later bound
+# over the module names (as perfbench's tracer does) leave the counts read
+# here untouched.
 _CACHES = {
-    "link": {"A_coeff": reldim.A_coeff, **_DET_CACHES},
-    "qlink": {"qA_coeff": qlinks.qA_coeff, "q_power": qlinks._q_power, **_DET_CACHES},
-    "verify": {
-        "A_coeff": reldim.A_coeff,
-        "qA_coeff": qlinks.qA_coeff,
-        "psi_T": qlinks.psi_T,
-        "q_power": qlinks._q_power,
-        **_DET_CACHES,
-        "bo_numerator": reldim._bo_numerator,
-        "general_q_scalar": qlinks._general_q_scalar,
-        "schur_weight": qlinks._schur_weight,
-        "h_at_q_powers": schur._h_at_q_powers,
-    },
+    name.removeprefix("_"): fn
+    for module in (patterns, reldim, qlinks, schur)
+    for name, fn in vars(module).items()
+    if hasattr(fn, "cache_info") and fn.__wrapped__.__module__ == module.__name__
 }
 
 
-def _cache_counts(command: str) -> dict:
-    return {name: fn.cache_info() for name, fn in _CACHES[command].items()}
+def _cache_counts() -> dict:
+    return {name: fn.cache_info() for name, fn in _CACHES.items()}
 
 
-def _cache_stats(command: str, before: dict) -> dict:
-    """Hits and misses of `command`'s caches since the `_cache_counts` snapshot `before`."""
+def _cache_stats(before: dict) -> dict:
+    """Hits and misses of every cache since the `_cache_counts` snapshot `before`."""
     return {
         name: {"hits": info.hits - before[name].hits, "misses": info.misses - before[name].misses}
-        for name, info in _cache_counts(command).items()
+        for name, info in _cache_counts().items()
     }
 
 
@@ -307,13 +299,13 @@ def _cmd_row(args) -> RunReport:
     inputs = {"nu": format_signature(args.nu), "level": args.level}
     if args.command == "qlink":
         inputs["q"] = str(args.q)
-    before = _cache_counts(args.command)
+    before = _cache_counts()
     if args.command == "qlink":
         row = q_link_row(args.nu, args.level, args.q)
     else:
         row = link_row(args.nu, args.level)
     # under `timing`, so the entries and digests stay comparable across runs
-    return RowReport(args.command, inputs, row, {"stats": _cache_stats(args.command, before)})
+    return RowReport(args.command, inputs, row, {"stats": _cache_stats(before)})
 
 
 def _cmd_verify(args) -> RunReport:
@@ -330,9 +322,9 @@ def _cmd_verify(args) -> RunReport:
         if value is not None:
             inputs[key] = [str(v) for v in value] if isinstance(value, list) else _enc(value)
     report = RunReport("verify", inputs, ignored_bounds=ignored_bounds(args.suite, **bounds))
-    before = _cache_counts("verify")
+    before = _cache_counts()
     results = run_suite(args.suite, **bounds)
-    report.timing["stats"] = _cache_stats("verify", before)
+    report.timing["stats"] = _cache_stats(before)
     for case in results:
         report.results.append(
             _entry(

@@ -89,6 +89,7 @@ class Budget:
     __slots__ = ("limit", "remaining", "bound")
 
     def __init__(self, units: int):
+        units = _integer(units, "work budget")
         if units < 0:
             raise ValueError(f"work budget must be at least 0 units, got {units}")
         self.limit = units

@@ -221,6 +221,62 @@ def test_a_coeff_quadrature_matches_exact():
         a_coeff_quadrature((1, 0, 0), 1, 1, 1)  # needs N > K + x + 1
 
 
+def _kernel_blocks():
+    """(nu, K, i, x) with N > K + x + 1, over five row families at N = 3..7."""
+    for n in range(3, 8):
+        for nu in (
+            (0,) * n,
+            (n // 2,) + (0,) * (n - 1),
+            tuple(range(n - 1, -1, -1)),
+            (2, 1) + (0,) * (n - 3) + (-2,),
+            tuple(sorted(((j * 7) % 5 - 2 for j in range(n)), reverse=True)),
+        ):
+            for k in range(1, n - 1):
+                for i in range(1, k + 1):
+                    for x in range(-3, n - k - 1):
+                        yield nu, k, i, x
+
+
+def test_a_coeff_quadrature_refuses_a_pole_the_circle_does_not_enclose():
+    # R's pole at u = 1 - N / (i - 1/2 + s), not cancelled by a zero of R,
+    # lies outside the circle (u = -5/3) or on it (u = -1)
+    with pytest.raises(ValueError, match="u = -5/3"):
+        a_coeff_quadrature((1, 0, 0, 0), 2, 1, 0)
+    with pytest.raises(ValueError, match="u = -1$"):
+        a_coeff_quadrature((0, 0, 0), 1, 1, 0)
+    # x + i <= 0 leaves a pole no zero cancels, inside the circle here
+    with pytest.raises(ValueError, match="x \\+ i >= 1"):
+        a_coeff_quadrature((6, 5, 3, 1, 1, 1), 4, 4, -4)
+    accepted = 0
+    for nu, k, i, x in _kernel_blocks():
+        try:
+            got = a_coeff_quadrature(nu, k, i, x)
+        except ValueError as err:
+            assert "pole" in str(err)
+            continue
+        accepted += 1
+        assert abs(got - float(A_coeff(DetContext(k, nu), i, x))) < 1e-8, (nu, k, i, x)
+    assert accepted > 100
+
+
+def test_quadrature_refuses_a_pole_whose_aliases_outlast_max_points():
+    # alpha_plus is about 1e6, so Phi's pole at 1 + 1/alpha_plus sits 1e-6
+    # outside the circle and its coefficients decay like (1 - 1e-6)^n: two
+    # aliased means agree long before any is near phi_0 = 1/1200001
+    omega = embed((3000000, 0, 0))
+    assert phi_coeffs(omega, 0, 0)[0] == F(1, 1200001)
+    with pytest.raises(QuadratureError, match="pole at u = 6000005/5999999"):
+        phi_coeffs(omega, 0, 1, mode="numeric")
+    with pytest.raises(QuadratureError, match="pole at u = 6000005/5999999"):
+        uat_gap((3000000, 0, 0), (0,), mode="numeric")
+
+
+def test_numeric_mode_names_a_coordinate_beyond_the_float_range():
+    with pytest.raises(OverflowError, match=r"alpha_plus\[0\] is too large for a float; exact mode handles it"):
+        phi_coeffs(embed((10**400, 0, 0)), 0, 1, mode="numeric")
+    assert uat_gap((10**400, 0, 0), (0,)) >= 0  # exact mode takes it
+
+
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
 def test_quadrature_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
     with pytest.raises(ValueError, match="tolerance"):

@@ -454,6 +454,24 @@ def test_quadrature_that_does_not_converge_exits_2(capsys):
     assert "did not converge" in error["detail"]
 
 
+@pytest.mark.parametrize(
+    "slope, error, detail",
+    [
+        # a pole 1e-6 outside the circle: two aliased means agreed at m = 128
+        ("1e6", "QuadratureError", "pole at u = 6000005/5999999 is too near the unit circle"),
+        ("1e10", "QuadratureError", "pole at u = 60000000005/59999999999 is too near the unit circle"),
+        ("1e400", "OverflowError", "alpha_plus[0] is too large for a float; exact mode handles it"),
+    ],
+)
+def test_numeric_uat_that_cannot_be_trusted_exits_2(capsys, slope, error, detail):
+    argv = ("uat", "--kappa", "0", "--family", f"linear-row:{slope}", "--n", "3,4", "--mode", "numeric")
+    code, lines, err = run(capsys, *argv)
+    assert code == 2
+    assert not lines
+    assert json.loads(err) == {"error": error, "detail": json.loads(err)["detail"]}  # one JSON line
+    assert detail in err
+
+
 def test_csv_output(capsys):
     code = main(["--csv", "link", "1,0", "--level", "1"])
     out = capsys.readouterr().out.splitlines()
@@ -487,11 +505,14 @@ def test_row_commands_report_cache_stats_under_timing(capsys):
     code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "11/13")
     assert code == 0
     stats = lines[-1]["timing"]["stats"]
-    assert set(stats) == {"qA_coeff", "q_power", "prefix_cofactors", "cleared_column"}
+    assert set(stats) == set(gtkit.cli._CACHES)  # every cache of the package, whatever the command
     assert stats["qA_coeff"]["misses"] > 0
+    # one q-dimension denominator per weight of the row
+    q_dim = stats["q_dim_denominator"]
+    assert q_dim["hits"] + q_dim["misses"] == len(lines) - 2 == 15
     assert all(e.keys() == {"label", "value", "mode", "tolerance"} for e in lines[:-1])
     code, lines, _ = run(capsys, "link", "3,1,0,-2", "--level", "2")
-    assert set(lines[-1]["timing"]["stats"]) == {"A_coeff", "prefix_cofactors", "cleared_column"}
+    assert set(lines[-1]["timing"]["stats"]) == set(gtkit.cli._CACHES)
     # a repeated row finds every coefficient in the cache
     code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "11/13")
     assert lines[-1]["timing"]["stats"]["qA_coeff"]["misses"] == 0
@@ -575,18 +596,7 @@ def test_verify_reports_cache_stats_under_timing(capsys):
     code, lines, _ = run(capsys, "verify", "bo-equivalence", "--max-n", "3")
     assert code == 0
     stats = lines[-1]["timing"]["stats"]
-    assert set(stats) == {
-        "A_coeff",
-        "qA_coeff",
-        "psi_T",
-        "q_power",
-        "prefix_cofactors",
-        "cleared_column",
-        "bo_numerator",
-        "general_q_scalar",
-        "h_at_q_powers",
-        "schur_weight",
-    }
+    assert set(stats) == set(gtkit.cli._CACHES)
     assert stats["bo_numerator"]["misses"] > 0
     # one numerator per (N, K, i, x), shared by every top row
     assert stats["bo_numerator"]["hits"] > stats["bo_numerator"]["misses"]
@@ -611,6 +621,16 @@ def test_q_oracle_reports_schur_weight_hits(capsys):
     stats = lines[-1]["timing"]["stats"]["schur_weight"]
     # one s_kappa(q^S) per (kappa, q, S), shared by every top row
     assert 0 < stats["misses"] < stats["hits"]
+
+
+def test_general_t_reports_the_inverse_vandermonde_lookups(capsys):
+    qlinks.psi_T.cache_clear()  # cold, whatever ran before
+    code, lines, _ = run(capsys, "verify", "general-T", "--max-n", "3", "--part-bound", "1")
+    assert code == 0
+    stats = lines[-1]["timing"]["stats"]
+    # each psi_T that is not in its cache reads one row of the q-node inverse
+    inverse = stats["q_nodes_inverse"]
+    assert inverse["hits"] + inverse["misses"] == stats["psi_T"]["misses"] > 0
 
 
 @pytest.mark.parametrize(

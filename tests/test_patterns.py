@@ -130,6 +130,14 @@ def test_budget_below_zero_is_refused():
     assert Budget(0).remaining == 0
 
 
+@pytest.mark.parametrize("units", [2.5, "12", F(3)])
+def test_budget_that_is_not_an_integer_is_refused(units):
+    with pytest.raises(ValueError, match="work budget must be an integer"):
+        Budget(units)
+    with pytest.raises(ValueError, match="work budget must be an integer"):
+        rel_dim_table((2, 1, 0), 1, budget=units)
+
+
 # ---------------------------------------------------------------------------
 # the budget pre-flight
 

@@ -1,4 +1,5 @@
-"""The cache table in README.md names every bounded cache of the package."""
+"""The cache table in README.md, the package and the CLI's counters name the
+same bounded caches."""
 
 import importlib
 import pkgutil
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 import gtkit
+import gtkit.cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # built once per process, not a working set
@@ -41,3 +43,11 @@ def test_every_cache_has_a_row_with_its_bound():
     bounds = _table_bounds()
     assert sorted(bounds) == sorted(set(caches) - UNLISTED)
     assert {name: caches[name].cache_info().maxsize for name in bounds} == bounds
+
+
+def test_cli_counts_every_cache_of_the_table():
+    caches = _package_caches()
+    counted = {name: caches[name] for name in _table_bounds()}
+    # one counter per cache, named without the module or the leading underscore
+    assert len(gtkit.cli._CACHES) == len(counted)
+    assert gtkit.cli._CACHES == {name.split(".")[1].removeprefix("_"): fn for name, fn in counted.items()}
