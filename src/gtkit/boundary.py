@@ -113,7 +113,8 @@ def _phi(omega: OmegaPoint, number):
     once by `number`: Fraction for exact values (both drifts are then 0 and
     the product starts at 1), float for the float paths (u is complex and the
     product starts at the drift factor). A pole raises ZeroDivisionError; a
-    float overflow may leave an inf or a nan."""
+    float overflow may leave an inf or a nan. A coordinate beyond the float
+    range raises OverflowError naming it."""
 
     def convert(name):
         out = []
@@ -215,7 +216,8 @@ def _exact_coeff(shift, quot, residues, inside, outside, n: int) -> Rat:
 
 
 class QuadratureError(ArithmeticError):
-    """Unit-circle quadrature that did not settle within its point budget."""
+    """Unit-circle quadrature that did not settle, or whose aliases could not
+    fall below its tolerance, within its point budget."""
 
 
 def _alias_floor(pole: Rat, window: range, tolerance: float) -> float:
