@@ -48,6 +48,7 @@ def test_every_cache_has_a_row_with_its_bound():
 def test_cli_counts_every_cache_of_the_table():
     caches = _package_caches()
     counted = {name: caches[name] for name in _table_bounds()}
-    # one counter per cache, named without the module or the leading underscore
+    # one counter per cache: no two share a name once the module and the
+    # leading underscore are dropped
     assert len(gtkit.cli._CACHES) == len(counted)
     assert gtkit.cli._CACHES == {name.split(".")[1].removeprefix("_"): fn for name, fn in counted.items()}
