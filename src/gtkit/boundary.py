@@ -3,10 +3,10 @@
 A boundary point omega is a pair of coordinate lists (alpha, beta, one pair
 per direction) plus drift terms gamma; its generating function Phi(u; omega)
 is holomorphic in an annulus around the unit circle and normalized by
-Phi(1) = 1. Laurent coefficients phi_n come out exactly (partial fractions,
-available when gamma = 0 and the alphas within each direction are distinct)
-or numerically (unit-circle quadrature with doubling). Links to level K are
-minor determinants of the coefficient sequence.
+Phi(1) = 1. Laurent coefficients phi_n come out exactly (a closed form in
+the coordinates, when gamma = 0 and the alphas within each direction are
+distinct) or numerically (unit-circle quadrature with doubling). Links to
+level K are minor determinants of the coefficient sequence.
 
 The embedding of a finite top row nu into the boundary coordinates uses
 half-integer-shifted Frobenius-type coordinates divided by N; the drift of
@@ -25,11 +25,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from operator import attrgetter, mul
 from typing import Sequence
 
-from .linalg import Rat, det, poly_coeff, poly_divmod, poly_eval, poly_mul
+from .linalg import Rat, det
 from .patterns import check_signature, dim_product
 from .reldim import DetContext, PoleError, rel_dim_ratio
 
@@ -79,6 +80,38 @@ class OmegaPoint:
         b_minus = self.beta_minus[0] if self.beta_minus else Fraction(0)
         if b_plus + b_minus > 1:
             raise ValueError("beta_plus[0] + beta_minus[0] must be <= 1")
+
+    @cached_property
+    def closed_form(self) -> tuple[dict, list, list]:
+        """(beta, P, M), built once per point: phi_n = sum_t beta[t] g(n - t)
+        with g(m) = sum w r^m over (r, w) in P for m >= 0 and sum w s^-m over
+        (s, w) in M for m < 0. With r = a/(1+a) per alpha_plus and s = a/(1+a)
+        per alpha_minus, the alpha factors of Phi are (1-r)/(1-ru) and
+        (1-s)/(1-s/u), beta(u) = prod (1-b+bu) prod (1-b+b/u), and
+        1/((1-ru)(1-s/u)) has coefficients r^max(n,0) s^max(-n,0) / (1-rs)."""
+        if self.gamma_plus != 0 or self.gamma_minus != 0:
+            raise ValueError("exact coefficients need gamma_plus = gamma_minus = 0; use numeric mode")
+        ap = [a for a in self.alpha_plus if a > 0]
+        am = [a for a in self.alpha_minus if a > 0]
+        if len(set(ap)) != len(ap) or len(set(am)) != len(am):
+            raise ValueError("exact coefficients need distinct alphas; use numeric mode")
+        bm = [b for b in self.beta_minus if b > 0]
+        beta = [Fraction(1)]  # lowest power first; a beta_minus factor enters as u (1-b+b/u)
+        for c0, c1 in [(1 - b, b) for b in self.beta_plus if b > 0] + [(b, 1 - b) for b in bm]:
+            beta = [c0 * x + c1 * y for x, y in zip(beta + [0], [0] + beta)]
+        rs = _simple_terms([a / (1 + a) for a in ap])
+        ss = _simple_terms([a / (1 + a) for a in am])
+        scale = math.prod(1 - r for r, _ in rs) * math.prod(1 - s for s, _ in ss)
+        plus = [(r, scale * w * sum(v / (1 - r * s) for s, v in ss)) for r, w in rs]
+        minus = [(s, scale * v * sum(w / (1 - r * s) for r, w in rs)) for s, v in ss]
+        return dict(enumerate(beta, -len(bm))), plus, minus
+
+
+def _simple_terms(roots: list) -> list:
+    """[(r, w)] with prod 1/(1 - r u) = sum w / (1 - r u) over distinct roots:
+    w = r^(k-1) / prod_{o != r} (r - o). The empty product is 1/(1 - 0 u)."""
+    terms = [(r, r ** (len(roots) - 1) / math.prod(r - o for o in roots if o != r)) for r in roots]
+    return terms or [(Fraction(0), Fraction(1))]
 
 
 # ---------------------------------------------------------------------------
@@ -153,65 +186,6 @@ def _poles(omega: OmegaPoint) -> list[Rat]:
 
 
 # ---------------------------------------------------------------------------
-# exact Laurent coefficients via partial fractions
-
-
-def _rational_form(omega: OmegaPoint):
-    """Phi(u) = u^shift * N(u) / D(u) with polynomial N, D; also returns the
-    poles of D split into (inside unit circle, outside)."""
-    if omega.gamma_plus != 0 or omega.gamma_minus != 0:
-        raise ValueError("exact coefficients need gamma_plus = gamma_minus = 0; use numeric mode")
-    ap = [a for a in omega.alpha_plus if a > 0]
-    am = [a for a in omega.alpha_minus if a > 0]
-    if len(set(ap)) != len(ap) or len(set(am)) != len(am):
-        raise ValueError("exact coefficients need distinct alphas; use numeric mode")
-    bp = [b for b in omega.beta_plus if b > 0]
-    bm = [b for b in omega.beta_minus if b > 0]
-    num: tuple = (Fraction(1),)
-    for b in bp:
-        num = poly_mul(num, (1 - b, b))
-    for b in bm:
-        num = poly_mul(num, (b, 1 - b))
-    den: tuple = (Fraction(1),)
-    outside = []
-    inside = []
-    for a in ap:
-        den = poly_mul(den, (1 + a, -a))
-        outside.append((1 + a) / a)
-    for a in am:
-        den = poly_mul(den, (-a, 1 + a))
-        inside.append(a / (1 + a))
-    shift = len(am) - len(bm)
-    return shift, num, den, inside, outside
-
-
-def _partial_fractions(num, den, inside, outside):
-    quot, rem = poly_divmod(num, den)
-    residues = {}
-    lead = den[-1]
-    for root in inside + outside:
-        dval = Fraction(1)
-        for other in inside + outside:
-            if other != root:
-                dval *= root - other
-        # derivative of den = lead * prod (u - root) at a simple root
-        residues[root] = poly_eval(rem, root) / (lead * dval) if rem else Fraction(0)
-    return quot, residues
-
-
-def _exact_coeff(shift, quot, residues, inside, outside, n: int) -> Rat:
-    k = n - shift
-    out = poly_coeff(quot, k)
-    if k >= 0:
-        for p in outside:
-            out -= residues[p] * p ** (-k - 1)
-    else:
-        for r in inside:
-            out += residues[r] * r ** (-k - 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # unit-circle quadrature with doubling
 
 
@@ -234,6 +208,15 @@ def _alias_floor(pole: Rat, window: range, tolerance: float) -> float:
     return math.inf  # on the circle, to float precision
 
 
+def _pole_text(pole: Rat) -> str:
+    """The pole as a fraction or, when that runs past 40 characters, as the
+    nearest point of the circle plus its float distance (1 + 1e-300)."""
+    if len(str(pole)) <= 40:
+        return str(pole)
+    distance = abs(pole) - 1
+    return f"{'-' if pole < 0 else ''}1 {'-' if distance < 0 else '+'} {float(abs(distance)):.2g}"
+
+
 def _circle_means(integrands, poles, window: range, tolerance: float, max_points: int) -> list[float]:
     """Real parts of the means of integrands(us) over m midpoint nodes us of
     the unit circle, m doubling from 64 until no mean moves by `tolerance`.
@@ -249,10 +232,11 @@ def _circle_means(integrands, poles, window: range, tolerance: float, max_points
         raise ValueError(f"quadrature tolerance must be positive and finite, got {tolerance}")
     floor, pole = max(((_alias_floor(p, window, tolerance), p) for p in poles), default=(0.0, None))
     if floor >= max_points:
-        raise QuadratureError(
-            f"the pole at u = {pole} is too near the unit circle: its aliases stay above tolerance "
-            f"{tolerance} below about {floor:.3g} points, over max_points = {max_points}"
-        )
+        if math.isinf(floor):
+            reach = f"never fall below tolerance {tolerance}"
+        else:
+            reach = f"stay above tolerance {tolerance} below about {floor:.3g} points, over max_points = {max_points}"
+        raise QuadratureError(f"the pole at u = {_pole_text(pole)} is too near the unit circle: its aliases {reach}")
     m = 64
     prev = None
     while m <= max_points:
@@ -296,12 +280,12 @@ def phi_coeffs(
     if n_min > n_max:
         raise ValueError("empty window")
     if mode == "exact":
-        shift, num, den, inside, outside = _rational_form(omega)
-        quot, residues = _partial_fractions(num, den, inside, outside)
-        coeffs = {
-            n: _exact_coeff(shift, quot, residues, inside, outside, n)
-            for n in range(n_min, n_max + 1)
+        beta, plus, minus = omega.closed_form
+        g = {
+            m: sum(w * r**m for r, w in plus) if m >= 0 else sum(w * s**-m for s, w in minus)
+            for m in range(n_min - max(beta), n_max - min(beta) + 1)
         }
+        coeffs = {n: sum(c * g[n - t] for t, c in beta.items()) for n in range(n_min, n_max + 1)}
         return LaurentWindow(n_min, n_max, coeffs, "exact", None)
     if mode != "numeric":
         raise ValueError("mode must be 'exact' or 'numeric'")

@@ -1,6 +1,8 @@
 """Boundary points: coefficients, minor determinants, and the embedding."""
 
+import re
 import signal
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,7 @@ from gtkit.boundary import (
     phi_signature,
     uat_gap,
 )
+from gtkit.linalg import poly_coeff, poly_divmod, poly_eval, poly_mul
 from gtkit.reldim import A_coeff, DetContext, PoleError
 
 BETA = OmegaPoint(beta_plus=(F(1, 3),))
@@ -108,6 +111,90 @@ def test_phi_coeffs_window_and_modes():
         assert abs(w[n] - want) < 1e-10
     with pytest.raises(ValueError, match="distinct"):
         phi_coeffs(OmegaPoint(alpha_plus=(F(1, 2), F(1, 2))), 0, 1)
+
+
+# The partial-fraction route the closed form replaced, kept as a reference:
+# Phi = u^shift N(u) / D(u) with polynomials N and D, N divided by D, and the
+# remainder evaluated at each pole of D.
+
+
+def _reference_coeffs(omega, n_min, n_max):
+    ap = [a for a in omega.alpha_plus if a > 0]
+    am = [a for a in omega.alpha_minus if a > 0]
+    bm = [b for b in omega.beta_minus if b > 0]
+    num = (F(1),)
+    for b in omega.beta_plus:
+        if b > 0:
+            num = poly_mul(num, (1 - b, b))
+    for b in bm:
+        num = poly_mul(num, (b, 1 - b))
+    den = (F(1),)
+    for a in ap:
+        den = poly_mul(den, (1 + a, -a))
+    for a in am:
+        den = poly_mul(den, (-a, 1 + a))
+    outside = [(1 + a) / a for a in ap]
+    inside = [a / (1 + a) for a in am]
+    quot, rem = poly_divmod(num, den)
+    residues = {}
+    for root in inside + outside:
+        dval = F(1)
+        for other in inside + outside:
+            if other != root:
+                dval *= root - other
+        residues[root] = poly_eval(rem, root) / (den[-1] * dval) if rem else F(0)
+    out = {}
+    for n in range(n_min, n_max + 1):
+        k = n - (len(am) - len(bm))
+        value = poly_coeff(quot, k)
+        if k >= 0:
+            value -= sum(residues[p] * p ** (-k - 1) for p in outside)
+        else:
+            value += sum(residues[r] * r ** (-k - 1) for r in inside)
+        out[n] = value
+    return out
+
+
+@st.composite
+def wide_exact_points(draw):
+    """A point exact mode takes: up to 4 distinct alphas in [0, 3] and 4
+    betas per direction, any of them empty, at times a beta_plus of 1, and
+    at times an alpha of 10**300."""
+    omega = draw(omega_points(max_alpha=3, max_len=4))
+    if draw(st.integers(0, 4)) == 0:
+        omega = replace(omega, beta_plus=(F(1),) + omega.beta_plus[1:], beta_minus=())
+    huge = draw(st.sampled_from([None, None, "alpha_plus", "alpha_minus"]))
+    if huge:
+        omega = replace(omega, **{huge: (F(10**300),) + getattr(omega, huge)[:3]})
+    return omega
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_exact_points(), st.integers(-12, 12), st.data())
+def test_exact_coefficients_equal_the_partial_fraction_route(omega, n_min, data):
+    n_max = data.draw(st.integers(n_min, 12))
+    assert phi_coeffs(omega, n_min, n_max).coeffs == _reference_coeffs(omega, n_min, n_max)
+
+
+def test_closed_form_is_built_once_per_point_and_stays_out_of_equality():
+    omega = embed((4, 2, 0, 0, -1, -1, -3))
+    assert omega.closed_form is omega.closed_form
+    phi_signature(omega, (1, 0, -1))
+    assert "closed_form" in vars(omega)
+    twin = embed((4, 2, 0, 0, -1, -1, -3))
+    assert twin == omega and hash(twin) == hash(omega) and repr(twin) == repr(omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wide_exact_points(),
+    st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=3), min_size=1, max_size=10),
+)
+def test_minors_are_nonnegative_at_exact_points(omega, parts_lists):
+    # the coefficient sequence of a boundary point is totally nonnegative
+    for parts in parts_lists:
+        sig = tuple(sorted(parts, reverse=True))
+        assert phi_signature(omega, sig) >= 0, sig
 
 
 def test_numeric_matches_exact():
@@ -269,6 +356,19 @@ def test_quadrature_refuses_a_pole_whose_aliases_outlast_max_points():
         phi_coeffs(omega, 0, 1, mode="numeric")
     with pytest.raises(QuadratureError, match="pole at u = 6000005/5999999"):
         uat_gap((3000000, 0, 0), (0,), mode="numeric")
+
+
+@pytest.mark.parametrize("direction, pole", [("alpha_plus", "1 \\+ 1e-300"), ("alpha_minus", "1 - 1e-300")])
+def test_quadrature_names_a_long_pole_by_its_distance_from_the_circle(direction, pole):
+    # the exact pole is a 600-digit fraction, and the float log of its radius
+    # rounds to 0, so no number of points is enough
+    omega = OmegaPoint(**{direction: (F(10**300),)})
+    with pytest.raises(QuadratureError) as err:
+        phi_coeffs(omega, 0, 1, mode="numeric")
+    assert re.fullmatch(
+        f"the pole at u = {pole} is too near the unit circle: its aliases never fall below tolerance 1e-10",
+        str(err.value),
+    )
 
 
 def test_numeric_mode_names_a_coordinate_beyond_the_float_range():
