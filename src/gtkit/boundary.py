@@ -209,12 +209,12 @@ def _alias_floor(pole: Rat, window: range, tolerance: float) -> float:
 
 
 def _pole_text(pole: Rat) -> str:
-    """The pole as a fraction or, when that runs past 40 characters, as the
-    nearest point of the circle plus its float distance (1 + 1e-300)."""
+    """The pole as a fraction or, when that runs past 40 characters, as 1
+    plus or minus its float distance from 1 (1 + 1e-300): only the poles of
+    Phi, at 1 + 1/a and a/(1+a), grow with the coordinates."""
     if len(str(pole)) <= 40:
         return str(pole)
-    distance = abs(pole) - 1
-    return f"{'-' if pole < 0 else ''}1 {'-' if distance < 0 else '+'} {float(abs(distance)):.2g}"
+    return f"1 {'-' if pole < 1 else '+'} {float(abs(pole - 1)):.2g}"
 
 
 def _circle_means(integrands, poles, window: range, tolerance: float, max_points: int) -> list[float]:
