@@ -23,6 +23,7 @@ from .patterns import (
     DEFAULT_BUDGET,
     Budget,
     BudgetExceededError,
+    Signature,
     all_signatures,
     check_signature,
     dim_oracle,

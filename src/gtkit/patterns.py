@@ -1,14 +1,19 @@
 """Interlacing integer signatures and trapezoidal pattern enumeration.
 
-A signature of length N is a nonincreasing tuple of integers. A trapezoidal
-pattern with bottom row kappa (length K) and top row nu (length N) is a chain
-kappa = row_K < row_{K+1} < ... < row_N = nu in which consecutive rows
-interlace. These enumerators are the brute-force oracles the determinantal
-routes are checked against, so they stay deliberately naive: every pattern is
-walked explicitly, with a work budget so a too-large instance fails loudly
-instead of running unbounded. Where the product formula gives a lower bound
-on a walk's cost, an instance the budget cannot cover is refused before the
-walk starts.
+A signature of length N is a nonincreasing tuple of integers, held as a
+`Signature`: a tuple whose constructor checks its parts, so a row is
+validated once, when it is built, and `check_signature` hands a `Signature`
+back unchanged. The sweeps build their rows nonincreasing part by part and
+wrap them without checking them again.
+
+A trapezoidal pattern with bottom row kappa (length K) and top row nu
+(length N) is a chain kappa = row_K < row_{K+1} < ... < row_N = nu in which
+consecutive rows interlace. These enumerators are the brute-force oracles
+the determinantal routes are checked against, so they stay deliberately
+naive: every pattern is walked explicitly, with a work budget so a
+too-large instance fails loudly instead of running unbounded. Where the
+product formula gives a lower bound on a walk's cost, an instance the
+budget cannot cover is refused before the walk starts.
 """
 
 from __future__ import annotations
@@ -17,12 +22,10 @@ import operator
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import Rat
-
-Signature = tuple  # of ints, nonincreasing
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -151,11 +154,32 @@ def _integer(value: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+class Signature(tuple):
+    """A nonincreasing tuple of integers, checked when it is built: each part
+    is read with operator.index and no part may exceed the one before it.
+
+    Equal to, hashed, ordered, printed and JSON-encoded as the tuple of its
+    parts, so caches keyed by plain tuples find it. Pickling and copying
+    build it through this constructor, so they check it again."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
+        out = _integers(parts, "signature parts")
+        if any(map(operator.lt, out, out[1:])):
+            raise ValueError(f"signature parts must be nonincreasing, got {out}")
+        return tuple.__new__(cls, out)
+
+
+# The one unchecked construction: the sweeps below build each row
+# nonincreasing part by part, so they wrap it without a second check.
+_trusted_signature = partial(tuple.__new__, Signature)
+
+
 def check_signature(sig: Sequence[int]) -> Signature:
-    out = _integers(sig, "signature parts")
-    if any(map(operator.lt, out, out[1:])):
-        raise ValueError(f"signature parts must be nonincreasing, got {out}")
-    return out
+    """sig itself when it is a Signature (exactly that type, so a row built
+    by any other tuple subclass is checked), else Signature(sig)."""
+    return sig if type(sig) is Signature else Signature(sig)
 
 
 def parse_signature(text: str) -> Signature:
@@ -513,7 +537,7 @@ def all_signatures(length: int, lo: int, hi: int) -> Iterator[Signature]:
     rows = ((v,) for v in range(lo, hi + 1)) if length else iter([()])
     for _ in range(length - 1):
         rows = _extend_below_last(rows, lo)
-    return rows
+    return map(_trusted_signature, rows)
 
 
 def support_box(nu: Sequence[int], K: int) -> Iterator[Signature]:
@@ -522,4 +546,4 @@ def support_box(nu: Sequence[int], K: int) -> Iterator[Signature]:
     nu = check_signature(nu)
     if not 0 <= K <= len(nu):
         raise ValueError(f"level must be between 0 and N={len(nu)}, got {K}")
-    yield from all_signatures(K, nu[-1], nu[0]) if nu else [()]
+    yield from all_signatures(K, nu[-1], nu[0]) if nu else [Signature()]

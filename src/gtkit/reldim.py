@@ -298,7 +298,9 @@ class LinkRow:
     `total` is the exact sum of the weights, taken once as an integer over
     the least common multiple of their denominators. The weights are kept in
     one dict of the row's own, by increasing kappa; a row whose keys arrive
-    in that order, as `support_box` yields them, is kept as validated."""
+    in that order, as `support_box` yields them, is kept as validated. Keys
+    that are already a `Signature`, as every `support_box` row is, are kept
+    as the same objects."""
 
     def __init__(self, top: Signature, K: int, weights: dict):
         self.top = check_signature(top)

@@ -1,7 +1,9 @@
 """Interlacing rows, pattern enumeration, and the enumeration oracles."""
 
+import copy
 import inspect
 import itertools
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from gtkit.patterns import (
     DEFAULT_BUDGET,
     Budget,
     BudgetExceededError,
+    Signature,
     all_signatures,
     check_signature,
     dim_oracle,
@@ -36,7 +39,7 @@ from gtkit.patterns import (
 from gtkit.schur import skew_schur_combinatorial
 from gtkit.verify import bench_signature
 
-from strategies import q_points, top_rows
+from strategies import q_points, top_rows, wide_rows
 
 
 def test_parse_format_roundtrip():
@@ -75,6 +78,63 @@ def test_check_signature_refuses_parts_that_are_not_integers():
         check_signature(5)  # not a sequence at all
     assert check_signature((True, False)) == (1, 0)
     assert all(type(part) is int for part in check_signature((True, False)))
+
+
+def test_signature_checks_its_parts_when_built():
+    with pytest.raises(ValueError) as err:
+        Signature((0, 1))
+    assert str(err.value) == "signature parts must be nonincreasing, got (0, 1)"
+    with pytest.raises(ValueError) as err:
+        Signature((2.7, 0))
+    assert str(err.value) == "signature parts must be integers, got (2.7, 0)"
+    with pytest.raises(TypeError):
+        Signature(5)  # not a sequence at all, as check_signature(5)
+    assert Signature() == () and Signature([True, False]) == (1, 0)
+    sig = Signature((3, 1, -2))
+    assert (sig, hash(sig), repr(sig), str(list(sig))) == ((3, 1, -2), hash((3, 1, -2)), "(3, 1, -2)", "[3, 1, -2]")
+    assert sig < (3, 2) and {(3, 1, -2): "hit"}[sig] == "hit"
+
+
+class _Row(tuple):
+    """A tuple subclass other than Signature."""
+
+
+def test_check_signature_returns_a_signature_unchanged_and_checks_anything_else():
+    sig = Signature((2, 1))
+    assert check_signature(sig) is sig
+    for given in ([2, 1], (2, 1), _Row((2, 1))):
+        out = check_signature(given)
+        assert type(out) is Signature and out == (2, 1) and out is not given
+    with pytest.raises(ValueError, match="nonincreasing"):
+        check_signature(_Row((0, 1)))
+
+
+def test_pickle_and_copy_keep_the_type_and_check_again():
+    sig = Signature((4, 0, -1))
+    for out in (pickle.loads(pickle.dumps(sig)), copy.copy(sig), copy.deepcopy(sig)):
+        assert type(out) is Signature and out == sig
+    unchecked = gtkit.patterns._trusted_signature((0, 1))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        pickle.loads(pickle.dumps(unchecked))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        copy.copy(unchecked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_rows(bound=6))
+@example(((), 0, []))
+@example(((2, 1, 0), 0, []))
+@example(((3, -3), 2, []))
+def test_swept_rows_are_valid_signatures(case):
+    # the sweeps wrap their rows without a check; checking them again
+    # changes nothing
+    nu, k, _ = case
+    box = list(support_box(nu, k))
+    sweep = list(all_signatures(k, nu[-1], nu[0])) if nu else box
+    assert box == sweep and box
+    for row in box + sweep:
+        assert type(row) is Signature and check_signature(row) is row
+        assert row == Signature(tuple(row))
 
 
 def test_dim_known_values():

@@ -10,6 +10,7 @@ from strategies import chain_levels, levels, top_rows, wide_rows
 
 from gtkit import reldim
 from gtkit.linalg import det
+from gtkit.qlinks import q_link_row
 from gtkit.patterns import all_signatures, dim_product, rel_dim_oracle, support_box
 from gtkit.reldim import (
     A_coeff,
@@ -113,6 +114,22 @@ def test_link_row_mass_and_nonnegativity():
             support = {k for k in all_signatures(K, nu[-1], nu[0]) if rel_dim_oracle(k, nu) > 0}
             assert set(row.weights) == support
             assert list(row.weights) == sorted(support)
+
+
+@pytest.mark.parametrize("build", [lambda nu, k: link_row(nu, k), lambda nu, k: q_link_row(nu, k, F(1, 2))])
+def test_link_rows_keep_the_support_box_keys(build, monkeypatch):
+    # each key is the object support_box yielded, not a checked copy of it
+    yielded = []
+
+    def recording_box(nu, k):
+        for kappa in support_box(nu, k):
+            yielded.append(kappa)
+            yield kappa
+
+    monkeypatch.setattr(reldim, "support_box", recording_box)
+    row = build((3, 1, 0, -2), 2)
+    by_id = {id(kappa): kappa for kappa in yielded}
+    assert len(row) > 1 and all(by_id.get(id(kappa)) is kappa for kappa in row.weights)
 
 
 def test_linkrow_validation():
