@@ -10,8 +10,8 @@ from strategies import chain_levels, levels, top_rows, wide_rows
 
 from gtkit import reldim
 from gtkit.linalg import det
-from gtkit.qlinks import q_link_row
 from gtkit.patterns import all_signatures, dim_product, rel_dim_oracle, support_box
+from gtkit.qlinks import q_link_row
 from gtkit.reldim import (
     A_coeff,
     A_matrix,
