@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from . import patterns, qlinks, reldim, schur
+from . import linalg, patterns, qlinks, reldim, schur
 from .patterns import BudgetExceededError, _parse_ints, check_q, dim_product, format_signature, parse_signature
 from .qlinks import q_link_row
 from .reldim import DetContext, LinkRow, link_row, rel_dim_ratio
@@ -294,18 +294,28 @@ def _cache_stats(before: dict) -> dict:
     }
 
 
+def _det_calls(before: dict) -> dict:
+    """Determinants computed since the `linalg.det_calls` copy `before`, by
+    matrix size, smallest first; sizes not computed are left out."""
+    return {
+        str(size): count - before.get(size, 0)
+        for size, count in sorted(linalg.det_calls.items())
+        if count > before.get(size, 0)
+    }
+
+
 def _cmd_row(args) -> RunReport:
     """`link` or `qlink`: one row's weights, then their exact sum."""
     inputs = {"nu": format_signature(args.nu), "level": args.level}
     if args.command == "qlink":
         inputs["q"] = str(args.q)
-    before = _cache_counts()
+    before, dets = _cache_counts(), dict(linalg.det_calls)
     if args.command == "qlink":
         row = q_link_row(args.nu, args.level, args.q)
     else:
         row = link_row(args.nu, args.level)
     # under `timing`, so the entries and digests stay comparable across runs
-    return RowReport(args.command, inputs, row, {"stats": _cache_stats(before)})
+    return RowReport(args.command, inputs, row, {"stats": _cache_stats(before), "det_calls": _det_calls(dets)})
 
 
 def _cmd_verify(args) -> RunReport:
@@ -322,9 +332,10 @@ def _cmd_verify(args) -> RunReport:
         if value is not None:
             inputs[key] = [str(v) for v in value] if isinstance(value, list) else _enc(value)
     report = RunReport("verify", inputs, ignored_bounds=ignored_bounds(args.suite, **bounds))
-    before = _cache_counts()
+    before, dets = _cache_counts(), dict(linalg.det_calls)
     results = run_suite(args.suite, **bounds)
     report.timing["stats"] = _cache_stats(before)
+    report.timing["det_calls"] = _det_calls(dets)
     for case in results:
         report.results.append(
             _entry(
@@ -380,9 +391,11 @@ def _cmd_uat(args) -> RunReport:
 
 def _cmd_bench(args) -> RunReport:
     report = RunReport("bench", {"n": args.n, "level": args.level})
+    dets = dict(linalg.det_calls)
     rows = bench_table(args.n, args.level, budget=args.budget)
     # under `timing`, beside the wall clock, so the entries stay comparable across runs
     report.timing["enumeration_work"] = [{"N": row["N"], **row.pop("enumeration_work")} for row in rows]
+    report.timing["det_calls"] = _det_calls(dets)
     ok = True
     for row in rows:
         ok = ok and row["row_sum_1"] and row.get("enum_matches_det", True)

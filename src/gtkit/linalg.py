@@ -10,6 +10,7 @@ polynomial is the empty tuple).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -19,6 +20,7 @@ RatLike = Union[Fraction, int, str]
 __all__ = [
     "Rat",
     "det",
+    "det_calls",
     "clear_denominators",
     "prefix_cofactors",
     "pochhammer",
@@ -40,6 +42,12 @@ __all__ = [
 # determinants
 
 
+# Calls of det by matrix size since the process started; the CLI reports
+# what each command added under its summary line's `timing`. A defaultdict,
+# not a Counter, since its increment runs in C.
+det_calls: defaultdict = defaultdict(int)
+
+
 def det(rows: Sequence[Sequence[RatLike]]) -> Rat:
     """Determinant of a square matrix by fraction-free (Bareiss) elimination.
 
@@ -47,13 +55,21 @@ def det(rows: Sequence[Sequence[RatLike]]) -> Rat:
     integers; its intermediate entries are minors of that integer matrix,
     which keeps their growth polynomial, and every division is exact. A
     matrix whose entries are all `int` (not `bool`) is already cleared and
-    skips that step. Sizes 1 and 2 use their closed forms.
+    skips that step. Sizes 0 to 2 use their closed forms; an all-`int`
+    matrix of those sizes is answered before anything is copied or cleared.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
+    det_calls[n] += 1
     if n == 0:
         return Fraction(1)
+    if n == 2 and len(rows[0]) == len(rows[1]) == 2:
+        (a, b), (c, d) = rows
+        if type(a) is type(b) is type(c) is type(d) is int:
+            return Fraction(a * d - b * c)
+    elif n == 1 and len(rows[0]) == 1 and type(rows[0][0]) is int:
+        return Fraction(rows[0][0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant requires a square matrix")
     den = 1
     if all(type(x) is int for row in rows for x in row):
         m = [list(row) for row in rows]
@@ -108,7 +124,8 @@ def prefix_cofactors(columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
         raise ValueError("prefix columns must have length K")
     cofactors = []
     for i in range(k):
-        minor = det([[c[r] for c in columns] for r in range(k) if r != i]).numerator
+        # the minor's transpose: each prefix column without its i-th entry
+        minor = det([c[:i] + c[i + 1 :] for c in columns]).numerator
         cofactors.append(minor if (i + k - 1) % 2 == 0 else -minor)
     return tuple(cofactors)
 

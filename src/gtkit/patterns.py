@@ -18,12 +18,13 @@ budget cannot cover is refused before the walk starts.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import Rat
 
@@ -388,6 +389,18 @@ def dim_product(nu: Sequence[int]) -> int:
     return out
 
 
+def _dim_by_last_part(prefix: Sequence[int]) -> Callable[[int], int]:
+    """dim_product(prefix + (last,)) as a function of the last part: the
+    product over the prefix, taken once, times the pairs that end in the
+    last part, prod_{i<K} (kappa_i - kappa_K + K - i) / (K-1)!. That factor
+    alone need not be an integer, but its product with the prefix's is."""
+    base = dim_product(prefix)
+    k = len(prefix) + 1
+    fact = math.factorial(k - 1)
+    tops = [v + k - i for i, v in enumerate(prefix, start=1)]  # kappa_i + K - i
+    return lambda last: base * math.prod([t - last for t in tops]) // fact
+
+
 # ---------------------------------------------------------------------------
 # q-weighted counts
 
@@ -464,6 +477,24 @@ def q_dim(nu: Sequence[int], q) -> Rat:
     num, ea, eb = _q_diff_product(q, ((xi, xj) for i, xi in enumerate(x) for xj in x[i + 1 :]))
     den, da, db = _q_dim_denominator(len(nu), q.numerator, q.denominator)
     return _q_fraction(q, num, den, ea - da, eb - db)
+
+
+def _q_dim_by_last_part(prefix: Sequence[int], q: Rat) -> Callable[[int], Rat]:
+    """q_dim(prefix + (last,), q) as a function of the last part: the prefix's
+    q_dim, taken once, times prod_{i<K} (q^{x_i} - q^{x_K}) / (q^{-i} - q^{-K}),
+    x_i = kappa_i - i, whose _q_diff_product triple joins the prefix's
+    Fraction in one normalisation."""
+    base = q_dim(prefix, q)
+    k = len(prefix) + 1
+    xs = [v - i for i, v in enumerate(prefix, start=1)]
+    den, da, db = _q_diff_product(q, ((-i, -k) for i in range(1, k)))
+    num, den = base.numerator, base.denominator * den
+
+    def weight(last: int) -> Rat:
+        c, ea, eb = _q_diff_product(q, ((x, last - k) for x in xs))
+        return _q_fraction(q, num * c, den, ea - da, eb - db)
+
+    return weight
 
 
 def q_series(counts: dict, q: Rat) -> Rat:

@@ -22,10 +22,10 @@ from .patterns import (
     _integer,
     _integers,
     _q_diff_product,
+    _q_dim_by_last_part,
     _q_sum,
     check_q,
     check_signature,
-    q_dim,
 )
 from .reldim import A_coeff, DetContext, LinkRow, _coefficient_det_parts, _link_row
 from .schur import h_at_q_powers, schur_bialternant
@@ -252,7 +252,7 @@ def q_link_row(nu: Sequence[int], K: int, q: RatLike) -> LinkRow:
     """Markov-kernel row of the q-deformed link: q-dimension of kappa times
     the q-relative ratio, over the support box."""
     ctx = QDetContext(K, nu, q)
-    return _link_row(ctx, q_rel_dim_ratio, lambda kappa: q_dim(kappa, ctx.q))
+    return _link_row(ctx, q_rel_dim_ratio, lambda prefix: _q_dim_by_last_part(prefix, ctx.q))
 
 
 def q_to_1_check(K: int, nu: Sequence[int], i: int, x: int, q: RatLike) -> tuple[Rat, Rat]:

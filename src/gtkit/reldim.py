@@ -29,7 +29,7 @@ from .linalg import (
     poly_rising,
     vandermonde_inverse,
 )
-from .patterns import Signature, check_signature, dim_product, support_box
+from .patterns import Signature, _dim_by_last_part, check_signature, support_box
 
 __all__ = [
     "PoleError",
@@ -152,16 +152,16 @@ def _cleared_column(coeff: Callable, ctx, x: int) -> tuple[tuple[int, ...], int]
 
 
 @lru_cache(maxsize=64)
-def _prefix_cofactors(coeff: Callable, ctx, xs: tuple) -> tuple[tuple[int, ...], int]:
-    """Last-column cofactors of [coeff(ctx, i, x)] over the prefix columns xs,
-    as integers over one common denominator: the minors are taken of the
-    integer columns _cleared_column holds, and the denominator is the
-    product of their least common denominators.
+def _prefix_cofactors(coeff: Callable, ctx, prefix: tuple) -> tuple[tuple[int, ...], int]:
+    """Last-column cofactors of [coeff(ctx, i, kappa_j - j)] over the prefix
+    kappa_1..kappa_{K-1}, as integers over one common denominator: the
+    minors are taken of the integer columns _cleared_column holds, and the
+    denominator is the product of their least common denominators.
 
     Small on purpose: support_box yields kappa in lexicographic order, so
     consecutive bottom rows share their prefix and only the latest few
     prefixes are ever looked up again."""
-    columns = [_cleared_column(coeff, ctx, x) for x in xs]
+    columns = [_cleared_column(coeff, ctx, v - j) for j, v in enumerate(prefix, start=1)]
     return prefix_cofactors([ints for ints, _ in columns]), math.prod(lcd for _, lcd in columns)
 
 
@@ -174,7 +174,7 @@ def _coefficient_det_parts(coeff: Callable, ctx, kappa: Sequence[int]) -> tuple[
     k = ctx.K
     if len(kappa) != k:
         raise ValueError("bottom row must have length K")
-    cofactors, den = _prefix_cofactors(coeff, ctx, tuple(map(operator.sub, kappa[:-1], range(1, k))))
+    cofactors, den = _prefix_cofactors(coeff, ctx, kappa[:-1])
     last, lcd = _cleared_column(coeff, ctx, kappa[-1] - k)
     return sum(map(operator.mul, cofactors, last)), den * lcd
 
@@ -332,7 +332,10 @@ class LinkRow:
         self.weights: dict = clean if in_order else dict(sorted(clean.items()))
 
     def __getitem__(self, kappa) -> Rat:
-        return self.weights.get(check_signature(kappa), Fraction(0))
+        kappa = check_signature(kappa)
+        if len(kappa) != self.K:
+            raise ValueError("support entries must have length K")
+        return self.weights.get(kappa, Fraction(0))
 
     def items(self):
         return self.weights.items()
@@ -345,18 +348,24 @@ class LinkRow:
 
 
 def _link_row(ctx: DetContext, ratio: Callable, weight: Callable) -> LinkRow:
-    """The row of ctx over its support box: ratio(ctx, kappa) * weight(kappa)
-    for every kappa, the weight taken only where the ratio is not zero. The
-    one loop that builds link weights, for link_row and q_link_row alike."""
+    """The row of ctx over its support box: ratio(ctx, kappa) times the
+    weight of kappa, taken only where the ratio is not zero. weight(prefix)
+    is called once per prefix kappa_1..kappa_{K-1} and returns the weight as
+    a function of the last part kappa_K. The one loop that builds link
+    weights, for link_row and q_link_row alike."""
     weights = {}
+    prefix = None
     for kappa in support_box(ctx.nu, ctx.K):
+        head = kappa[:-1]
+        if head != prefix:
+            prefix, by_last = head, weight(head)
         r = ratio(ctx, kappa)
         if r:
-            weights[kappa] = r * weight(kappa)
+            weights[kappa] = r * by_last(kappa[-1])
     return LinkRow(ctx.nu, ctx.K, weights)
 
 
 def link_row(nu: Sequence[int], K: int) -> LinkRow:
     """Markov-kernel row nu -> {kappa}: (triangular count of kappa) times the
     relative-dimension ratio, over the support box."""
-    return _link_row(DetContext(K, nu), rel_dim_ratio, dim_product)
+    return _link_row(DetContext(K, nu), rel_dim_ratio, _dim_by_last_part)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gtkit.cli
-from gtkit import qlinks, reldim
+from gtkit import linalg, qlinks, reldim
 from gtkit.cli import _entry, main
 from gtkit.patterns import format_signature, parse_signature, support_box
 from gtkit.qlinks import q_link_row
@@ -512,15 +512,44 @@ def test_row_commands_report_cache_stats_under_timing(capsys):
     stats = lines[-1]["timing"]["stats"]
     assert set(stats) == set(gtkit.cli._CACHES)  # every cache of the package, whatever the command
     assert stats["qA_coeff"]["misses"] > 0
-    # one q-dimension denominator per weight of the row
+    # one q-dimension denominator per prefix kappa_1 of the row's support box
     q_dim = stats["q_dim_denominator"]
-    assert q_dim["hits"] + q_dim["misses"] == len(lines) - 2 == 15
+    assert q_dim["hits"] + q_dim["misses"] == len({kappa[:-1] for kappa in support_box((3, 1, 0, -2), 2)}) == 6
     assert all(e.keys() == {"label", "value", "mode", "tolerance"} for e in lines[:-1])
     code, lines, _ = run(capsys, "link", "3,1,0,-2", "--level", "2")
     assert set(lines[-1]["timing"]["stats"]) == set(gtkit.cli._CACHES)
     # a repeated row finds every coefficient in the cache
     code, lines, _ = run(capsys, "qlink", "3,1,0,-2", "--level", "2", "--q", "11/13")
     assert lines[-1]["timing"]["stats"]["qA_coeff"]["misses"] == 0
+
+
+def test_row_commands_report_det_calls_by_size_under_timing(capsys):
+    reldim._prefix_cofactors.cache_clear()  # cold, whatever ran before
+    code, lines, _ = run(capsys, "link", "3,1,0,-2", "--level", "3")
+    assert code == 0
+    # three 2 x 2 minors per prefix (kappa_1, kappa_2) of the support box
+    prefixes = lines[-1]["timing"]["stats"]["prefix_cofactors"]["misses"]
+    assert prefixes == len({kappa[:-1] for kappa in support_box((3, 1, 0, -2), 3)}) == 21
+    assert lines[-1]["timing"]["det_calls"] == {"2": 3 * prefixes}
+    assert all("det_calls" not in e for e in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qlink", "3,1,0,-2", "--level", "2", "--q", "1/2"),
+        ("verify", "q1-oracle", "--max-n", "3"),
+        ("bench", "--n", "4"),
+    ],
+)
+def test_commands_report_the_det_calls_they_made(capsys, argv):
+    reldim._prefix_cofactors.cache_clear()  # cold, so that each command computes some
+    before = dict(linalg.det_calls)
+    code, lines, _ = run(capsys, *argv)
+    assert code == 0
+    made = {size: count - before.get(size, 0) for size, count in sorted(linalg.det_calls.items())}
+    assert any(made.values())
+    assert lines[-1]["timing"]["det_calls"] == {str(size): count for size, count in made.items() if count}
 
 
 def test_out_file_roundtrip(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkit.linalg import (
@@ -60,6 +60,16 @@ entry_kinds = st.sampled_from(
 
 @settings(max_examples=160, deadline=None)
 @given(entry_kinds.flatmap(square))
+# all-int matrices of sizes 0 to 2 are answered before any clearing; bool
+# entries, and integral Fractions beside ints, are not all-int
+@example([[True]])
+@example([[False]])
+@example([[True, False], [False, True]])
+@example([[True, 2], [-3, False]])
+@example([[F(3)]])
+@example([[F(-1, 2)]])
+@example([[1, F(1, 2)], [F(2, 3), -4]])
+@example([[2, 3], [F(4), 5]])
 def test_det_matches_leibniz(rows):
     got = det(rows)
     assert type(got) is F
@@ -98,6 +108,8 @@ def test_ratmatrix_det_requires_square():
         det([[F(1, 2), 1], [2]])
     with pytest.raises(ValueError):
         det([[1, 2]])
+    with pytest.raises(ValueError):
+        det([[1, 2], [3, 4, 5]])
 
 
 @settings(max_examples=40, deadline=None)

@@ -195,6 +195,19 @@ def test_q_link_row_entries_equal_prefactor_times_det(case, q):
     _assert_q_row_entries_equal_oracle(nu, k, q)
 
 
+@settings(max_examples=30, deadline=None)
+@given(wide_rows(max_n=6, bound=4, max_k=5), wide_qs())
+@example(((4, 1, -1, -4), 1, ()), F(59, 60))  # the empty prefix
+@example(((4, 1, -1, -4), 3, ()), F(1, 60))  # K = N - 1
+def test_q_link_row_weights_equal_the_per_kappa_product(case, q):
+    # the row takes q_dim once per prefix kappa_1..kappa_{K-1}; the
+    # per-kappa product is its reference, key order included
+    nu, k, _ = case
+    ctx = QDetContext(k, nu, q)
+    expected = {kappa: q_dim(kappa, q) * r for kappa in support_box(nu, k) if (r := q_rel_dim_ratio(ctx, kappa))}
+    assert list(q_link_row(nu, k, q).items()) == list(expected.items())
+
+
 def test_q_link_row_entries_equal_prefactor_times_det_wider_than_column_cache():
     # K = 1: every last column is a new position, more of them than the
     # cleared-column cache holds

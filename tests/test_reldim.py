@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import chain_levels, levels, top_rows, wide_rows
 
@@ -132,6 +132,13 @@ def test_link_rows_keep_the_support_box_keys(build, monkeypatch):
     assert len(row) > 1 and all(by_id.get(id(kappa)) is kappa for kappa in row.weights)
 
 
+@pytest.mark.parametrize("kappa", [(1,), (1, 0, 0)])
+def test_linkrow_lookup_refuses_a_kappa_of_the_wrong_length(kappa):
+    row = link_row((3, 1, 0, -2), 2)
+    with pytest.raises(ValueError, match="support entries must have length K"):
+        row[kappa]
+
+
 def test_linkrow_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         LinkRow((1, 0), 1, {(0,): F(1, 2)})
@@ -226,6 +233,19 @@ def _assert_row_entries_equal_oracle(nu, k):
 def test_link_row_entries_equal_matrix_det(case):
     nu, k, _ = case
     _assert_row_entries_equal_oracle(nu, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_rows(max_n=6, bound=4, max_k=5))
+@example(((4, 1, -1, -4), 1, ()))  # the empty prefix
+@example(((4, 1, -1, -4), 3, ()))  # K = N - 1
+def test_link_row_weights_equal_the_per_kappa_product(case):
+    # the row takes dim_product once per prefix kappa_1..kappa_{K-1}; the
+    # per-kappa product is its reference, key order included
+    nu, k, _ = case
+    ctx = DetContext(k, nu)
+    expected = {kappa: dim_product(kappa) * r for kappa in support_box(nu, k) if (r := rel_dim_ratio(ctx, kappa))}
+    assert list(link_row(nu, k).items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("k", [1, 2])
