@@ -26,17 +26,14 @@ from .patterns import (
     Signature,
     all_signatures,
     check_signature,
-    dim_oracle,
     dim_product,
     enumerate_trapezoids,
     fits_under,
     format_signature,
-    interlaces,
     parse_signature,
     q_dim,
     q_dim_oracle,
     q_rel_dim_oracle,
-    rel_dim_oracle,
     rel_dim_table,
     rel_dim_table_bound,
     support_box,
@@ -62,7 +59,6 @@ from .qtoeplitz import (
     coeff_extract,
     q_ratio_infinity,
     qA_infinity,
-    qtoeplitz_solve,
 )
 from .reldim import (
     A_coeff,
@@ -81,8 +77,6 @@ from .schur import (
     RepeatedPointsError,
     h_at_q_powers,
     schur_bialternant,
-    schur_combinatorial,
-    skew_schur_combinatorial,
 )
 from .verify import SUITES, CaseResult, bench_table, run_suite, uat_table
 

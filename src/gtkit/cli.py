@@ -80,8 +80,8 @@ class RowReport(RunReport):
     """`link` or `qlink`: the entries are the row's weights, then its exact
     sum, made from `row` when they are written (`results` stays empty)."""
 
-    def __init__(self, command: str, inputs: dict, row: LinkRow, timing: dict):
-        super().__init__(command, inputs, status="pass", timing=timing)
+    def __init__(self, command: str, inputs: dict, row: LinkRow):
+        super().__init__(command, inputs, status="pass")
         self.row = row
 
     def _pairs(self):
@@ -309,13 +309,11 @@ def _cmd_row(args) -> RunReport:
     inputs = {"nu": format_signature(args.nu), "level": args.level}
     if args.command == "qlink":
         inputs["q"] = str(args.q)
-    before, dets = _cache_counts(), dict(linalg.det_calls)
     if args.command == "qlink":
         row = q_link_row(args.nu, args.level, args.q)
     else:
         row = link_row(args.nu, args.level)
-    # under `timing`, so the entries and digests stay comparable across runs
-    return RowReport(args.command, inputs, row, {"stats": _cache_stats(before), "det_calls": _det_calls(dets)})
+    return RowReport(args.command, inputs, row)
 
 
 def _cmd_verify(args) -> RunReport:
@@ -332,10 +330,7 @@ def _cmd_verify(args) -> RunReport:
         if value is not None:
             inputs[key] = [str(v) for v in value] if isinstance(value, list) else _enc(value)
     report = RunReport("verify", inputs, ignored_bounds=ignored_bounds(args.suite, **bounds))
-    before, dets = _cache_counts(), dict(linalg.det_calls)
     results = run_suite(args.suite, **bounds)
-    report.timing["stats"] = _cache_stats(before)
-    report.timing["det_calls"] = _det_calls(dets)
     for case in results:
         report.results.append(
             _entry(
@@ -391,11 +386,9 @@ def _cmd_uat(args) -> RunReport:
 
 def _cmd_bench(args) -> RunReport:
     report = RunReport("bench", {"n": args.n, "level": args.level})
-    dets = dict(linalg.det_calls)
     rows = bench_table(args.n, args.level, budget=args.budget)
     # under `timing`, beside the wall clock, so the entries stay comparable across runs
     report.timing["enumeration_work"] = [{"N": row["N"], **row.pop("enumeration_work")} for row in rows]
-    report.timing["det_calls"] = _det_calls(dets)
     ok = True
     for row in rows:
         ok = ok and row["row_sum_1"] and row.get("enum_matches_det", True)
@@ -487,6 +480,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.out and (err := _out_path_error(args.out)) is not None:
         return _out_error(err)
+    before, dets = _cache_counts(), dict(linalg.det_calls)
     t0 = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
@@ -504,6 +498,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(err).__name__, "detail": str(err)}), file=sys.stderr)
         return 2
     report.timing = {"total_seconds": round(time.perf_counter() - t0, 3), **report.timing}
+    # under `timing`, so the entries and digests stay comparable across runs
+    report.timing |= {"stats": _cache_stats(before), "det_calls": _det_calls(dets)}
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -29,7 +29,6 @@ __all__ = [
     "poly_add",
     "poly_scale",
     "poly_mul",
-    "poly_eval",
     "poly_coeff",
     "poly_divmod",
     "poly_div_exact",
@@ -232,13 +231,6 @@ def poly_mul(p: Sequence[RatLike], q: Sequence[RatLike]) -> tuple[Rat, ...]:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return _norm(out)
-
-
-def poly_eval(p: Sequence[RatLike], x) -> Rat:
-    out = Fraction(0)
-    for c in reversed(list(p)):
-        out = out * x + c
-    return out
 
 
 def poly_divmod(p: Sequence[RatLike], q: Sequence[RatLike]) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:

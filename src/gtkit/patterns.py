@@ -39,15 +39,12 @@ __all__ = [
     "check_signature",
     "parse_signature",
     "format_signature",
-    "interlaces",
     "fits_under",
     "enumerate_trapezoids",
-    "rel_dim_oracle",
     "skew_profile",
     "rel_dim_table",
     "rel_dim_table_bound",
     "dim_product",
-    "dim_oracle",
     "q_dim",
     "q_dim_oracle",
     "q_rel_dim_oracle",
@@ -204,16 +201,6 @@ def format_signature(sig: Sequence[int]) -> str:
     return ",".join(map(str, sig))
 
 
-def interlaces(lower: Sequence[int], upper: Sequence[int]) -> bool:
-    """True when upper_1 >= lower_1 >= upper_2 >= ... >= lower_n >= upper_{n+1}."""
-    if len(upper) != len(lower) + 1:
-        return False
-    for i, m in enumerate(lower):
-        if not (upper[i] >= m >= upper[i + 1]):
-            return False
-    return True
-
-
 def fits_under(row: Sequence[int], nu: Sequence[int]) -> bool:
     """True when some interlacing chain continues row up to nu.
 
@@ -297,17 +284,13 @@ def enumerate_trapezoids(
 def skew_profile(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> Counter:
     """Multiset of row-sum increment vectors over all trapezoids kappa -> nu;
     evaluating sum_d count[d] prod_m u_m^{d_m} gives the skew Schur value in
-    N - K variables. The trapezoid oracles below are groupings of it."""
+    N - K variables. q_rel_dim_oracle and general-T's profile_at_q_powers
+    are groupings of it."""
     profile: Counter = Counter()
     for rows in enumerate_trapezoids(kappa, nu, budget):
         sums = list(map(sum, rows))
         profile[tuple(map(operator.sub, sums[1:], sums))] += 1
     return profile
-
-
-def rel_dim_oracle(kappa: Sequence[int], nu: Sequence[int], budget: int | Budget | None = None) -> int:
-    """Number of trapezoids with bottom kappa and top nu: their profile's total."""
-    return sum(skew_profile(kappa, nu, budget).values())
 
 
 def _descend_counts(lam: Signature, level: int, to_level: int, budget: Budget, table: dict) -> None:
@@ -351,8 +334,8 @@ def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None)
     """Trapezoid counts for every bottom row at once: {kappa: count}.
 
     The downward walk from nu, grouped by where each chain lands at level K;
-    rel_dim_oracle counts the chains to one kappa by the upward walk.
-    Refused up front when rel_dim_table_bound exceeds the budget.
+    at K = 1 the counts sum to dim(nu). Refused up front when
+    rel_dim_table_bound exceeds the budget.
     """
     nu = check_signature(nu)
     b = resolve_budget(budget)
@@ -360,16 +343,6 @@ def rel_dim_table(nu: Sequence[int], K: int, budget: int | Budget | None = None)
     table: dict = {}
     _descend_counts(nu, len(nu), K, b, table)
     return table
-
-
-def dim_oracle(nu: Sequence[int], budget: int | Budget | None = None) -> int:
-    """Number of triangular patterns with top row nu, counted one by one:
-    every chain down to level 1 is a pattern, so this is the sum of
-    rel_dim_table(nu, 1), pre-flight included."""
-    nu = check_signature(nu)
-    if not nu:
-        return 1
-    return sum(rel_dim_table(nu, 1, budget).values())
 
 
 def dim_product(nu: Sequence[int]) -> int:

@@ -214,20 +214,15 @@ def b_generating_check(n: BoundarySeq, q: RatLike) -> GeneratingCheck:
     return GeneratingCheck(ok, lhs, rhs, first_mismatch, beyond)
 
 
-def qtoeplitz_solve(coeffs: Sequence[RatLike], q: RatLike, x: int, i: int) -> Rat:
+def qtoeplitz_solve(phi: Sequence[RatLike], q: RatLike, x: int, i: int) -> Rat:
     """Closed-form solution d(x, i) of the two-term q-recurrence
-    d(x, i+1) = d(x-1, i) + (q^{1-i} - q^{1-x}) d(x, i) with first column
-    d(l+1, 1) = coeffs[l]: q^{(x-i+1)(x+i-2)/2} times the residue sum of
+    d(x, i+1) = d(x-1, i) + (q^{1-i} - q^{1-x}) d(x, i) whose first column
+    d(l+1, 1) = c_l comes as phi = basis_from_coeffs(c, q), built once for
+    many (x, i): q^{(x-i+1)(x+i-2)/2} times the residue sum of
     phi(z) (z; q)_{i-1} / (z; q)_x over poles q^{-m}, m = i-1 .. x-1."""
     q = check_q(q)
     if x < 1 or i < 1:
         raise ValueError("grid starts at x = i = 1")
-    return _solve_on_basis(basis_from_coeffs(coeffs, q), q, x, i)
-
-
-def _solve_on_basis(phi: Sequence[RatLike], q: Rat, x: int, i: int) -> Rat:
-    """qtoeplitz_solve on phi = basis_from_coeffs(coeffs, q), for a checked q
-    and x, i >= 1, so a caller that solves many (x, i) builds phi once."""
     if x < i:
         return Fraction(0)
     return q ** _b_exponent(x, i) * _residue_sum(q, range(i - 1, x), x - 1, phi=phi)

@@ -29,7 +29,7 @@ from .linalg import (
     poly_rising,
     vandermonde_inverse,
 )
-from .patterns import Signature, _dim_by_last_part, check_signature, support_box
+from .patterns import Signature, _dim_by_last_part, _integer, check_signature, support_box
 
 __all__ = [
     "PoleError",
@@ -58,6 +58,7 @@ class DetContext:
     nu: Signature
 
     def __post_init__(self):
+        object.__setattr__(self, "K", _integer(self.K, "K"))
         object.__setattr__(self, "nu", check_signature(self.nu))
         if not 1 <= self.K < len(self.nu):
             raise ValueError(f"need 1 <= K < N, got K={self.K} and N={len(self.nu)}")

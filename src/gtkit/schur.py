@@ -1,10 +1,9 @@
-"""Rational Schur polynomials of integer signatures, by two routes.
+"""Rational Schur polynomials of integer signatures.
 
 Signatures may have negative parts, so these are Laurent-type Schur
-polynomials: evaluation points must be nonzero. The bialternant route needs
-pairwise distinct points; the combinatorial route (a weighted walk over
-interlacing patterns) works for any nonzero points and is the oracle the
-determinantal identities are tested against.
+polynomials: evaluation points must be nonzero. The bialternant needs
+pairwise distinct points; at q-power points the one-row values h_m also
+have a closed form.
 """
 
 from __future__ import annotations
@@ -14,19 +13,17 @@ from functools import lru_cache
 from typing import Sequence
 
 from .linalg import Rat, RatLike, det, vandermonde_det
-from .patterns import _integer, _integers, check_signature, skew_profile
+from .patterns import _integer, _integers, check_signature
 
 __all__ = [
     "RepeatedPointsError",
     "schur_bialternant",
-    "schur_combinatorial",
-    "skew_schur_combinatorial",
     "h_at_q_powers",
 ]
 
 
 class RepeatedPointsError(ValueError):
-    """Bialternant evaluation at repeated points; use the combinatorial route."""
+    """Bialternant evaluation at repeated points."""
 
 
 def _check_points(vals: Sequence[RatLike]) -> tuple[Rat, ...]:
@@ -46,39 +43,9 @@ def schur_bialternant(nu: Sequence[int], vals: Sequence[RatLike]) -> Rat:
     if n == 0:
         return Fraction(1)
     if len(set(u)) != n:
-        raise RepeatedPointsError(
-            "points must be pairwise distinct; use schur_combinatorial"
-        )
+        raise RepeatedPointsError("points must be pairwise distinct")
     num = det([[u[i] ** (nu[j] + n - 1 - j) for j in range(n)] for i in range(n)])
     return num / vandermonde_det(u)
-
-
-def skew_schur_combinatorial(
-    nu: Sequence[int],
-    kappa: Sequence[int],
-    vals: Sequence[RatLike],
-    budget: int | None = None,
-) -> Rat:
-    """Sum over interlacing chains from kappa up to nu of
-    prod_m vals_m^(row-sum increment at step m), one product per distinct
-    increment vector of the skew profile."""
-    nu = check_signature(nu)
-    kappa = check_signature(kappa)
-    u = _check_points(vals)
-    n, k = len(nu), len(kappa)
-    if len(u) != n - k:
-        raise ValueError("need one evaluation point per added row")
-    total = Fraction(0)
-    for diffs, count in skew_profile(kappa, nu, budget).items():
-        weight = Fraction(count)
-        for v, d in zip(u, diffs):
-            weight *= v**d
-        total += weight
-    return total
-
-
-def schur_combinatorial(nu: Sequence[int], vals: Sequence[RatLike], budget: int | None = None) -> Rat:
-    return skew_schur_combinatorial(nu, (), vals, budget)
 
 
 def h_at_q_powers(m: int, exponents: Sequence[int], q: RatLike) -> Rat:

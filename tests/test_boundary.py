@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import poly_eval
 from strategies import omega_points, top_rows
 
 from gtkit.boundary import (
@@ -22,7 +23,7 @@ from gtkit.boundary import (
     phi_signature,
     uat_gap,
 )
-from gtkit.linalg import poly_coeff, poly_divmod, poly_eval, poly_mul
+from gtkit.linalg import poly_coeff, poly_divmod, poly_mul
 from gtkit.reldim import A_coeff, DetContext, PoleError
 
 BETA = OmegaPoint(beta_plus=(F(1, 3),))

@@ -540,6 +540,8 @@ def test_row_commands_report_det_calls_by_size_under_timing(capsys):
         ("qlink", "3,1,0,-2", "--level", "2", "--q", "1/2"),
         ("verify", "q1-oracle", "--max-n", "3"),
         ("bench", "--n", "4"),
+        ("rdim", "1,0", "3,1,0"),
+        ("uat", "--kappa", "0", "--family", "linear-row:1/2", "--n", "4,6"),
     ],
 )
 def test_commands_report_the_det_calls_they_made(capsys, argv):
@@ -550,6 +552,24 @@ def test_commands_report_the_det_calls_they_made(capsys, argv):
     made = {size: count - before.get(size, 0) for size, count in sorted(linalg.det_calls.items())}
     assert any(made.values())
     assert lines[-1]["timing"]["det_calls"] == {str(size): count for size, count in made.items() if count}
+    assert set(lines[-1]["timing"]["stats"]) == set(gtkit.cli._CACHES)
+
+
+def test_rdim_reports_its_coefficients_and_minors_under_timing(capsys):
+    for cache in (reldim.A_coeff, reldim._cleared_column, reldim._prefix_cofactors):
+        cache.cache_clear()  # cold, whatever ran before
+    code, lines, _ = run(capsys, "rdim", "1,0", "3,1,0")
+    assert code == 0
+    timing = lines[-1]["timing"]
+    # K = 2: two columns of two coefficients, and the K minors of size K - 1
+    # that prefix_cofactors takes
+    assert timing["stats"]["A_coeff"] == {"hits": 0, "misses": 4}
+    assert timing["det_calls"] == {"1": 2}
+    # dim computes no determinant and touches no cache, and says so
+    code, lines, _ = run(capsys, "dim", "2,1,0")
+    timing = lines[-1]["timing"]
+    assert timing["det_calls"] == {}
+    assert timing["stats"] == {name: {"hits": 0, "misses": 0} for name in gtkit.cli._CACHES}
 
 
 def test_out_file_roundtrip(tmp_path, capsys):

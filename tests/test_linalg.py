@@ -16,7 +16,6 @@ from gtkit.linalg import (
     poly_coeff,
     poly_div_exact,
     poly_divmod,
-    poly_eval,
     poly_from_roots,
     poly_mul,
     poly_rising,
@@ -25,6 +24,8 @@ from gtkit.linalg import (
     vandermonde_det,
     vandermonde_inverse,
 )
+
+from references import poly_eval
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 

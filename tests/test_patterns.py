@@ -18,27 +18,24 @@ from gtkit.patterns import (
     Signature,
     all_signatures,
     check_signature,
-    dim_oracle,
     dim_product,
     enumerate_trapezoids,
     fits_under,
     format_signature,
-    interlaces,
     parse_signature,
     profile_at_q_powers,
     q_dim,
     q_dim_oracle,
     q_rel_dim_oracle,
     q_series,
-    rel_dim_oracle,
     rel_dim_table,
     rel_dim_table_bound,
     skew_profile,
     support_box,
 )
-from gtkit.schur import skew_schur_combinatorial
 from gtkit.verify import bench_signature
 
+from references import interlaces, rel_dim_oracle, skew_schur_combinatorial
 from strategies import q_points, top_rows, wide_rows
 
 
@@ -147,8 +144,9 @@ def test_dim_known_values():
 @settings(max_examples=60, deadline=None)
 @given(top_rows(max_n=4, bound=5))
 def test_dim_product_matches_oracle(nu):
+    # every chain of the downward walk to level 1 is one triangular pattern
     walk = Budget(DEFAULT_BUDGET)
-    assert dim_oracle(nu, budget=walk) == dim_product(nu)
+    assert sum(rel_dim_table(nu, 1, budget=walk).values()) == dim_product(nu)
     assert walk.bound == rel_dim_table_bound(nu, 1) <= walk.consumed
 
 
@@ -179,14 +177,14 @@ def test_support_box_covers_support():
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
-        dim_oracle((40, 20, 0, -20, -40), budget=100)
+        rel_dim_table((40, 20, 0, -20, -40), 1, budget=100)
 
 
 def test_budget_below_zero_is_refused():
     with pytest.raises(ValueError, match="at least 0"):
         Budget(-1)
     with pytest.raises(ValueError, match="at least 0"):
-        dim_oracle((1, 0), budget=-3)
+        rel_dim_table((1, 0), 1, budget=-3)
     assert Budget(0).remaining == 0
 
 
@@ -237,7 +235,7 @@ def test_rel_dim_table_bound_never_exceeds_the_walk(nu_k):
 @given(top_rows())
 @example((3,))
 def test_triangular_bounds_never_exceed_the_walk(nu):
-    for oracle, args in ((dim_oracle, (nu,)), (q_dim_oracle, (nu, F(2, 3)))):
+    for oracle, args in ((rel_dim_table, (nu, 1)), (q_dim_oracle, (nu, F(2, 3)))):
         spent = _spent(oracle, *args)
         if spent is not None:
             bound, consumed = spent
@@ -282,14 +280,14 @@ def test_edge_levels_have_zero_bound():
     assert rel_dim_table_bound((7,), 0) == rel_dim_table_bound((7,), 1) == 0
     # K = N places no row, so it finishes on any budget, however small
     assert rel_dim_table(nu, 4, budget=0) == {nu: 1}
-    assert dim_oracle((7,), budget=0) == 1
+    assert rel_dim_table((7,), 1, budget=0) == {(7,): 1}
 
 
 @pytest.mark.parametrize(
     "oracle, args",
     [
         (rel_dim_table, ((9, 5, 0, -4, -9), 2)),
-        (dim_oracle, ((9, 5, 0, -4, -9),)),
+        (rel_dim_table, ((9, 5, 0, -4, -9), 1)),
         (q_dim_oracle, ((9, 5, 0, -4, -9), F(1, 2))),
     ],
 )

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import skew_schur_combinatorial
 from strategies import chain_levels, levels, top_rows, wide_qs, wide_rows
 
 from gtkit import patterns, qlinks, reldim
@@ -115,8 +116,6 @@ def test_general_ratio_reduces_to_q_ratio():
 
 def test_general_ratio_other_subset():
     # T = {1, 2}: skew evaluation at (q, q^2) against the explicit walk
-    from gtkit.schur import skew_schur_combinatorial
-
     nu, k = (2, 1, 0), 1
     ctx = QDetContext(k, nu, Q)
     tspec = TSpec(3, k, (1, 2))

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import poly_eval
 from strategies import boundary_seqs, wide_qs
 
-from gtkit.linalg import poly_eval, poly_mul
+from gtkit.linalg import poly_mul
 from gtkit.qtoeplitz import (
     B_entry,
     B_entry_via_qA,
@@ -111,17 +112,19 @@ def test_solver_matches_recurrence():
     coeffs = (F(1), F(-2), F(1, 3), F(0), F(2))
     for q in (F(1, 2), F(2, 3)):
         d = _recurrence_table(coeffs, q, 6)
+        phi = basis_from_coeffs(coeffs, q)
         for x in range(1, 7):
             for i in range(1, 7):
-                assert qtoeplitz_solve(coeffs, q, x, i) == d[x, i], (x, i)
+                assert qtoeplitz_solve(phi, q, x, i) == d[x, i], (x, i)
 
 
 def test_solver_edges():
-    assert qtoeplitz_solve((1, 1), Q, 1, 3) == 0  # below the diagonal
+    assert qtoeplitz_solve(basis_from_coeffs((1, 1), Q), Q, 1, 3) == 0  # below the diagonal
+    one = basis_from_coeffs((1,), Q)
     with pytest.raises(ValueError):
-        qtoeplitz_solve((1,), Q, 0, 1)
+        qtoeplitz_solve(one, Q, 0, 1)
     with pytest.raises(ValueError):
-        qtoeplitz_solve((1,), Q, 1, 0)
+        qtoeplitz_solve(one, Q, 1, 0)
 
 
 def test_b_recurrence():
@@ -250,4 +253,4 @@ def test_coeff_extract_matches_the_polynomial_route(phi, q, l):
 @settings(max_examples=60, deadline=None)
 @given(wide_coeff_lists, wide_qs(), st.integers(1, 7), st.integers(1, 7))
 def test_qtoeplitz_solve_matches_the_polynomial_route(coeffs, q, x, i):
-    assert qtoeplitz_solve(coeffs, q, x, i) == ref_qtoeplitz_solve(coeffs, q, x, i)
+    assert qtoeplitz_solve(basis_from_coeffs(coeffs, q), q, x, i) == ref_qtoeplitz_solve(coeffs, q, x, i)

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import rel_dim_oracle
 from strategies import chain_levels, levels, top_rows, wide_rows
 
 from gtkit import reldim
 from gtkit.linalg import det
-from gtkit.patterns import all_signatures, dim_product, rel_dim_oracle, support_box
-from gtkit.qlinks import q_link_row
+from gtkit.patterns import all_signatures, dim_product, support_box
+from gtkit.qlinks import QDetContext, q_link_row
 from gtkit.reldim import (
     A_coeff,
     A_matrix,
@@ -37,6 +38,28 @@ def test_context_validation():
         DetContext(0, (2, 1, 0))
     with pytest.raises(ValueError):
         DetContext(1, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "context, build",
+    [
+        (DetContext, link_row),
+        (lambda k, nu: QDetContext(k, nu, F(1, 2)), lambda nu, k: q_link_row(nu, k, F(1, 2))),
+    ],
+    ids=["DetContext", "QDetContext"],
+)
+def test_a_level_that_is_not_an_integer_is_refused(context, build):
+    # K = 1.5 was kept, and a row at K = 1.5 failed in range with a bare TypeError
+    for k in (1.5, 2.0, F(1), "1"):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            context(k, (3, 1, 0))
+        with pytest.raises(ValueError, match="K must be an integer"):
+            build((3, 1, 0), k)
+    # a bool is read as the integer it stands for, as a signature part is
+    assert type(context(True, (3, 1, 0)).K) is int
+    row = build((3, 1, 0), True)
+    assert (type(row.K), row.K) == (int, 1)
+    assert dict(row.items()) == dict(build((3, 1, 0), 1).items())
 
 
 def test_a_coeff_frozen_value():
